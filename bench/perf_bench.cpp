@@ -6,10 +6,12 @@
 // Benchmarks:
 //   design_step        DesignDistributionalRepair wall time, per thread
 //                      count (the paper's Algorithm 1: 2*dim channels).
-//   repair_throughput  OffSampleRepairer::RepairDataset rows/sec, per
-//                      thread count (Algorithm 2 batch path).
+//   repair_throughput_soa  OffSampleRepairer::RepairDataset rows/sec,
+//                      per thread count (Algorithm 2 batch path: rows
+//                      grouped by (u, s), channel-major RepairSpan with
+//                      prefetch).
 //   design_step_s4     the same stages on a 4-level protected attribute
-//   repair_throughput_s4  (|S| = 4): the multi-group K-scaling rows —
+//   repair_throughput_s4_soa  (|S| = 4): the multi-group K-scaling rows —
 //                      design does |S| solves per channel, repair carries
 //                      |S| x |U| x dim tables.
 //   sinkhorn_standard  single-thread entropic solve, n x n, standard
@@ -27,7 +29,7 @@
 //   serve_throughput   rows/sec through the serving stack (RepairService
 //                      + micro-batching Batcher, replay workload), per
 //                      thread count — measures batching overhead against
-//                      repair_throughput.
+//                      repair_throughput_soa.
 //   serve_p99_latency_us  request latency quantiles from the serving
 //                      metrics histogram on the same replay workload.
 //   serve_net_throughput  rows/sec through the epoll TCP front end
@@ -36,11 +38,6 @@
 //                      network hop against serve_throughput.
 //   serve_net_p99_us   client-observed round-trip latency quantiles for
 //                      the same runs, per connection count.
-//   repair_throughput_soa     the default SoA batch-repair path (rows
-//   repair_throughput_s4_soa  grouped by (u, s), channel-major RepairSpan
-//                      with prefetch); the plain repair_throughput rows
-//                      force soa_batch=false, so the pair isolates the
-//                      layout win. _s4 again tracks K-scaling.
 //   lse_reduction      the fused log-sum-exp kernel (simd::LseDiff) on an
 //                      n-length row — the log-domain Sinkhorn inner loop
 //                      in isolation.
@@ -239,40 +236,35 @@ int main(int argc, char** argv) {
     design_options.n_q = design_nq;
     auto plans = otfair::core::DesignDistributionalRepair(*research, design_options);
     if (!plans.ok()) Die(plans.status().ToString());
-    // soa_batch=false is the row-by-row baseline; the _soa row is the
-    // default SoA batch path — same tables, same output, layout isolated.
-    for (const bool soa : {false, true}) {
-      for (int t : thread_counts) {
-        otfair::core::RepairOptions options;
-        options.threads = t;
-        options.soa_batch = soa;
-        auto repairer = otfair::core::OffSampleRepairer::Create(*plans, options);
-        if (!repairer.ok()) Die(repairer.status().ToString());
-        const double ms = BestWallMs(repeats, [&] {
-          auto repaired = repairer->RepairDataset(*archive);
-          if (!repaired.ok()) Die(repaired.status().ToString());
-        });
-        BenchCase c;
-        c.name = soa ? "repair_throughput_soa" : "repair_throughput";
-        c.threads = t;
-        std::snprintf(params, sizeof(params),
-                      "{\"dim\": %zu, \"n_archive\": %zu, \"n_q\": %zu, \"soa\": %s}", dim,
-                      n_archive, design_nq, soa ? "true" : "false");
-        c.params_json = params;
-        c.repeats = repeats;
-        c.wall_ms = ms;
-        c.rows_per_sec = static_cast<double>(n_archive) / (ms / 1e3);
-        cases.push_back(c);
-        std::fprintf(stderr, "%-21s threads=%d  %8.2f ms  (%.0f rows/s)\n", c.name.c_str(), t,
-                     ms, c.rows_per_sec);
-      }
+    for (int t : thread_counts) {
+      otfair::core::RepairOptions options;
+      options.threads = t;
+      auto repairer = otfair::core::OffSampleRepairer::Create(*plans, options);
+      if (!repairer.ok()) Die(repairer.status().ToString());
+      const double ms = BestWallMs(repeats, [&] {
+        auto repaired = repairer->RepairDataset(*archive);
+        if (!repaired.ok()) Die(repaired.status().ToString());
+      });
+      BenchCase c;
+      c.name = "repair_throughput_soa";
+      c.threads = t;
+      std::snprintf(params, sizeof(params),
+                    "{\"dim\": %zu, \"n_archive\": %zu, \"n_q\": %zu, \"soa\": true}", dim,
+                    n_archive, design_nq);
+      c.params_json = params;
+      c.repeats = repeats;
+      c.wall_ms = ms;
+      c.rows_per_sec = static_cast<double>(n_archive) / (ms / 1e3);
+      cases.push_back(c);
+      std::fprintf(stderr, "%-21s threads=%d  %8.2f ms  (%.0f rows/s)\n", c.name.c_str(), t,
+                   ms, c.rows_per_sec);
     }
   }
 
   // --- multi-group scaling: |S| = 4 design / repair ------------------------
   // The K-group pipeline does |S| OT solves per (u, k) channel and |S| x
   // |U| x dim repair tables, so these rows track the K-scaling cost
-  // against the binary design_step/repair_throughput rows above.
+  // against the binary design_step/repair_throughput_soa rows above.
   {
     Rng mg_rng(0xbe9d);
     const otfair::sim::MultiGroupSimConfig mg_config =
@@ -308,32 +300,29 @@ int main(int argc, char** argv) {
     design_options.n_q = design_nq;
     auto plans = otfair::core::DesignDistributionalRepair(*mg_research, design_options);
     if (!plans.ok()) Die(plans.status().ToString());
-    for (const bool soa : {false, true}) {
-      for (int t : thread_counts) {
-        otfair::core::RepairOptions options;
-        options.threads = t;
-        options.soa_batch = soa;
-        auto repairer = otfair::core::OffSampleRepairer::Create(*plans, options);
-        if (!repairer.ok()) Die(repairer.status().ToString());
-        const double ms = BestWallMs(repeats, [&] {
-          auto repaired = repairer->RepairDataset(*mg_archive);
-          if (!repaired.ok()) Die(repaired.status().ToString());
-        });
-        BenchCase c;
-        c.name = soa ? "repair_throughput_s4_soa" : "repair_throughput_s4";
-        c.threads = t;
-        std::snprintf(
-            params, sizeof(params),
-            "{\"dim\": %zu, \"n_archive\": %zu, \"n_q\": %zu, \"s_levels\": 4, \"soa\": %s}",
-            dim, n_archive, design_nq, soa ? "true" : "false");
-        c.params_json = params;
-        c.repeats = repeats;
-        c.wall_ms = ms;
-        c.rows_per_sec = static_cast<double>(n_archive) / (ms / 1e3);
-        cases.push_back(c);
-        std::fprintf(stderr, "%-24s threads=%d %8.2f ms  (%.0f rows/s)\n", c.name.c_str(), t,
-                     ms, c.rows_per_sec);
-      }
+    for (int t : thread_counts) {
+      otfair::core::RepairOptions options;
+      options.threads = t;
+      auto repairer = otfair::core::OffSampleRepairer::Create(*plans, options);
+      if (!repairer.ok()) Die(repairer.status().ToString());
+      const double ms = BestWallMs(repeats, [&] {
+        auto repaired = repairer->RepairDataset(*mg_archive);
+        if (!repaired.ok()) Die(repaired.status().ToString());
+      });
+      BenchCase c;
+      c.name = "repair_throughput_s4_soa";
+      c.threads = t;
+      std::snprintf(
+          params, sizeof(params),
+          "{\"dim\": %zu, \"n_archive\": %zu, \"n_q\": %zu, \"s_levels\": 4, \"soa\": true}",
+          dim, n_archive, design_nq);
+      c.params_json = params;
+      c.repeats = repeats;
+      c.wall_ms = ms;
+      c.rows_per_sec = static_cast<double>(n_archive) / (ms / 1e3);
+      cases.push_back(c);
+      std::fprintf(stderr, "%-24s threads=%d %8.2f ms  (%.0f rows/s)\n", c.name.c_str(), t,
+                   ms, c.rows_per_sec);
     }
   }
 
@@ -363,7 +352,6 @@ int main(int argc, char** argv) {
       otfair::serve::BatcherOptions batcher_options;
       batcher_options.max_batch = 256;
       batcher_options.max_queue_depth = 4096;
-      batcher_options.background_flush = false;  // replay flushes explicitly
       size_t responses = 0;
       otfair::serve::Batcher batcher(
           service->get(), batcher_options,

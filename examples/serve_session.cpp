@@ -1,8 +1,8 @@
 // Serving-layer walkthrough: designs a plan on simulated research data,
-// stands up a serve::RepairService behind a micro-batching Batcher, runs
-// two concurrent client sessions against it, hot-swaps the plan
-// mid-stream, and prints the metrics/health snapshots — the in-process
-// equivalent of `otfair serve`.
+// stands up a serve::RepairService, runs two concurrent client sessions
+// against it (each through its own micro-batching Batcher), hot-swaps the
+// plan mid-stream, and prints the metrics/health snapshots — the
+// in-process equivalent of `otfair serve`.
 //
 // Run:  ./serve_session [--rows=20000] [--sessions=2] [--threads=2]
 
@@ -49,15 +49,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::atomic<uint64_t> delivered{0};
-  otfair::serve::Batcher batcher(
-      service->get(), {},
-      [&](const otfair::serve::RowResponse& response) {
-        if (response.status.ok()) delivered.fetch_add(1, std::memory_order_relaxed);
-      });
-
   std::vector<std::thread> clients;
   for (size_t session = 0; session < sessions; ++session) {
     clients.emplace_back([&, session] {
+      // A batcher belongs to one thread; the service is what sessions
+      // share.
+      otfair::serve::Batcher batcher(
+          service->get(), {}, [&](const otfair::serve::RowResponse& response) {
+            if (response.status.ok()) delivered.fetch_add(1, std::memory_order_relaxed);
+          });
       for (size_t i = 0; i < archive->size(); ++i) {
         otfair::serve::RowRequest request;
         request.session_id = session;
@@ -67,11 +67,12 @@ int main(int argc, char** argv) {
         request.features = archive->Row(i);
         while (!batcher.Submit(std::move(request)).ok()) batcher.Flush();
       }
+      batcher.Close();
     });
   }
 
-  // Hot-swap the plan while the sessions stream: the atomic snapshot swap
-  // means no request is dropped and — because repair randomness is a pure
+  // Hot-swap the plan while the sessions stream: the snapshot swap means
+  // no request is dropped and — because repair randomness is a pure
   // function of (seed, session, row) — the outputs do not change either.
   if (!(*service)->ReloadPlan(std::move(*plans)).ok()) {
     std::fprintf(stderr, "reload failed\n");
@@ -79,9 +80,8 @@ int main(int argc, char** argv) {
   }
 
   for (std::thread& client : clients) client.join();
-  batcher.Close();
 
-  const auto metrics = (*service)->metrics().Snapshot(batcher.queue_depth());
+  const auto metrics = (*service)->metrics().Snapshot();
   const auto health = (*service)->Health();
   std::printf("delivered %llu rows across %zu sessions (plan v%llu)\n",
               static_cast<unsigned long long>(delivered.load()), sessions,

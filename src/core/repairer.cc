@@ -1,12 +1,10 @@
 #include "core/repairer.h"
 
-#include <atomic>
 #include <cmath>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/status.h"
 #include "obs/trace.h"
 
@@ -18,27 +16,6 @@ using common::Status;
 namespace {
 // Row mass below this is treated as empty (KDE tails can underflow).
 constexpr double kRowMassFloor = 1e-300;
-
-/// Schedule-independent batch stats accumulator: per-row tallies fold in
-/// through commutative atomic integer adds, so the totals match the
-/// serial path at any thread count without a per-row stats buffer.
-struct StatCounters {
-  std::atomic<size_t> repaired{0};
-  std::atomic<size_t> clamped{0};
-  std::atomic<size_t> fallbacks{0};
-
-  void Add(const RepairStats& local) {
-    repaired.fetch_add(local.values_repaired, std::memory_order_relaxed);
-    clamped.fetch_add(local.values_clamped, std::memory_order_relaxed);
-    fallbacks.fetch_add(local.empty_row_fallbacks, std::memory_order_relaxed);
-  }
-
-  void FlushInto(RepairStats& stats) const {
-    stats.values_repaired += repaired.load();
-    stats.values_clamped += clamped.load();
-    stats.empty_row_fallbacks += fallbacks.load();
-  }
-};
 }  // namespace
 
 Result<OffSampleRepairer> OffSampleRepairer::Create(RepairPlanSet plans,
@@ -278,84 +255,21 @@ Result<data::Dataset> OffSampleRepairer::RepairDatasetWithLabels(
       return Status::InvalidArgument("dataset u labels exceed the plan's u levels");
   }
   data::Dataset repaired = dataset.Clone();
-  const size_t n = dataset.size();
-  const size_t dim = dataset.dim();
-  // Per-row RNG sub-stream and a per-row local stats tally: rows are
-  // order-independent, so the parallel schedule cannot change the output
-  // (see RepairDataset). The tallies fold into shared counters with
-  // commutative integer adds — totals are schedule-independent too.
-  StatCounters counters;
-  if (options_.soa_batch) {
-    // SoA batch path: bucket rows by their (u, s) label pair, then repair
-    // fixed-size chunks channel by channel through RepairSpan, so every
-    // lookup run stays inside one channel's slot-major arena. Chunks are
-    // the parallel work unit; per-row ForStream generators make the
-    // output independent of the chunk schedule — and bit-identical to
-    // the row-by-row path below, which replays the same per-row draws.
-    const size_t s_levels = plans_.s_levels();
-    std::vector<std::vector<uint32_t>> buckets(plans_.u_levels() * s_levels);
-    for (size_t i = 0; i < n; ++i) {
-      buckets[static_cast<size_t>(dataset.u(i)) * s_levels + static_cast<size_t>(s_labels[i])]
-          .push_back(static_cast<uint32_t>(i));
-    }
-    constexpr size_t kChunk = 256;
-    struct Chunk {
-      uint32_t bucket;
-      uint32_t begin;
-      uint32_t end;
-    };
-    std::vector<Chunk> chunks;
-    for (size_t b = 0; b < buckets.size(); ++b) {
-      for (size_t begin = 0; begin < buckets[b].size(); begin += kChunk) {
-        const size_t end = std::min(begin + kChunk, buckets[b].size());
-        chunks.push_back(Chunk{static_cast<uint32_t>(b), static_cast<uint32_t>(begin),
-                               static_cast<uint32_t>(end)});
-      }
-    }
-    common::parallel::ParallelFor(
-        0, chunks.size(),
-        [&](size_t ci) {
-          const Chunk& c = chunks[ci];
-          const uint32_t* ids = buckets[c.bucket].data() + c.begin;
-          const int u = static_cast<int>(c.bucket / s_levels);
-          const int s = static_cast<int>(c.bucket % s_levels);
-          const size_t m = c.end - c.begin;
-          // k-major gather: channel k's values for the whole chunk form
-          // one contiguous span, repaired in place by RepairSpan.
-          std::vector<double> buf(m * dim);
-          std::vector<common::Rng> rngs;
-          rngs.reserve(m);
-          for (size_t t = 0; t < m; ++t)
-            rngs.push_back(common::Rng::ForStream(options_.seed, ids[t]));
-          for (size_t k = 0; k < dim; ++k)
-            for (size_t t = 0; t < m; ++t) buf[k * m + t] = dataset.feature(ids[t], k);
-          RepairStats local;
-          SpanScratch scratch;
-          for (size_t k = 0; k < dim; ++k)
-            RepairSpan(u, s, k, buf.data() + k * m, m, rngs.data(), buf.data() + k * m, local,
-                       scratch);
-          for (size_t k = 0; k < dim; ++k)
-            for (size_t t = 0; t < m; ++t) repaired.set_feature(ids[t], k, buf[k * m + t]);
-          counters.Add(local);
-        },
-        static_cast<size_t>(options_.threads));
-  } else {
-    common::parallel::ParallelFor(
-        0, n,
-        [&](size_t i) {
-          common::Rng rng = common::Rng::ForStream(options_.seed, i);
-          const int u = dataset.u(i);
-          const int s = s_labels[i];
-          RepairStats local;
-          for (size_t k = 0; k < dim; ++k) {
-            repaired.set_feature(i, k,
-                                 RepairValueImpl(u, s, k, dataset.feature(i, k), rng, local));
-          }
-          counters.Add(local);
-        },
-        static_cast<size_t>(options_.threads));
-  }
-  counters.FlushInto(stats_);
+  // Row i draws from its own sub-stream, so the output does not depend on
+  // the chunk schedule (see RepairDataset).
+  struct DatasetRows {
+    const data::Dataset& in;
+    const std::vector<int>& s_labels;
+    data::Dataset& out;
+    uint64_t seed;
+    int u(size_t i) const { return in.u(i); }
+    int s(size_t i) const { return s_labels[i]; }
+    double x(size_t i, size_t k) const { return in.feature(i, k); }
+    common::Rng rng(size_t i) const { return common::Rng::ForStream(seed, i); }
+    void set(size_t i, size_t k, double y) const { out.set_feature(i, k, y); }
+  };
+  stats_.Add(RepairRows(DatasetRows{dataset, s_labels, repaired, options_.seed},
+                        dataset.size(), options_.threads));
   return repaired;
 }
 
@@ -373,25 +287,28 @@ Result<data::Dataset> OffSampleRepairer::RepairDatasetSoft(const data::Dataset& 
       return Status::InvalidArgument("posteriors must lie in [0, 1]");
   }
   data::Dataset repaired = dataset.Clone();
-  const size_t n = dataset.size();
-  const size_t dim = dataset.dim();
-  StatCounters counters;
-  common::parallel::ParallelFor(
-      0, n,
-      [&](size_t i) {
-        common::Rng rng = common::Rng::ForStream(options_.seed, i);
-        // One class draw per row, shared by all channels: a record is
-        // repaired coherently under a single imputed protected label.
-        const int s = rng.Bernoulli(pr_s1[i]) ? 1 : 0;
-        RepairStats local;
-        for (size_t k = 0; k < dim; ++k) {
-          repaired.set_feature(
-              i, k, RepairValueImpl(dataset.u(i), s, k, dataset.feature(i, k), rng, local));
-        }
-        counters.Add(local);
-      },
-      static_cast<size_t>(options_.threads));
-  counters.FlushInto(stats_);
+  // Row i draws its class from its own sub-stream, then repairs every
+  // channel under that one imputed label with the same generator, so a
+  // record is repaired coherently and the output is schedule-independent.
+  struct SoftRows {
+    const data::Dataset& in;
+    const std::vector<double>& pr_s1;
+    data::Dataset& out;
+    uint64_t seed;
+    int u(size_t i) const { return in.u(i); }
+    int s(size_t i) const {
+      return common::Rng::ForStream(seed, i).Bernoulli(pr_s1[i]) ? 1 : 0;
+    }
+    double x(size_t i, size_t k) const { return in.feature(i, k); }
+    common::Rng rng(size_t i) const {
+      common::Rng rng = common::Rng::ForStream(seed, i);
+      rng.Bernoulli(pr_s1[i]);  // the class draw s(i) made
+      return rng;
+    }
+    void set(size_t i, size_t k, double y) const { out.set_feature(i, k, y); }
+  };
+  stats_.Add(RepairRows(SoftRows{dataset, pr_s1, repaired, options_.seed}, dataset.size(),
+                        options_.threads));
   return repaired;
 }
 

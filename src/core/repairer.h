@@ -1,9 +1,11 @@
 #ifndef OTFAIR_CORE_REPAIRER_H_
 #define OTFAIR_CORE_REPAIRER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "core/repair_plan.h"
@@ -38,13 +40,6 @@ struct RepairOptions {
   /// Batch output is bit-identical across thread counts (see the row
   /// sub-stream note on RepairDataset).
   int threads = 0;
-  /// Structure-of-arrays batch path: RepairDataset* gathers rows sharing
-  /// a (u, s) label pair into contiguous chunks and repairs them channel
-  /// by channel through RepairSpan (prefetched slot-major table lookups)
-  /// instead of row by row. Output is bit-identical either way — the SoA
-  /// path replays the exact per-row RNG schedule — so this knob exists
-  /// only for benchmarking the layout win and as an escape hatch.
-  bool soa_batch = true;
 };
 
 /// Statistics accumulated while repairing.
@@ -56,6 +51,12 @@ struct RepairStats {
   /// Plan rows with (numerically) zero mass that fell back to the nearest
   /// massive row.
   size_t empty_row_fallbacks = 0;
+
+  void Add(const RepairStats& other) {
+    values_repaired += other.values_repaired;
+    values_clamped += other.values_clamped;
+    empty_row_fallbacks += other.empty_row_fallbacks;
+  }
 };
 
 /// Algorithm 2: off-sample (archival) repair driven by the plans designed
@@ -122,6 +123,19 @@ class OffSampleRepairer {
                   common::Rng* rngs, double* out, RepairStats& stats,
                   SpanScratch& scratch) const;
 
+  /// The batch path every multi-row repair goes through (RepairDataset*
+  /// and the serving layer's RepairBatch). Rows 0..count-1 are bucketed
+  /// by their (u, s) label pair, gathered channel-major in chunks of up to
+  /// 256 rows, repaired channel by channel through RepairSpan, and
+  /// scattered back; chunks run on `threads` lanes (0: process default).
+  /// `rows` exposes `int u(i)`, `int s(i)` (validated labels),
+  /// `double x(i, k)`, `common::Rng rng(i)` (the row's generator) and
+  /// `void set(i, k, y)`. Each row's output depends only on its inputs and
+  /// generator, so it is bit-identical to RepairValueAt replayed row by
+  /// row, whatever the chunk schedule. Const: safe to call concurrently.
+  template <typename Rows>
+  RepairStats RepairRows(const Rows& rows, size_t count, int threads) const;
+
   /// Soft-label streaming repair for probabilistic protected attributes
   /// (§VI / ref. [39]): draws s ~ Bernoulli(pr_s1) and repairs under the
   /// drawn class, so the marginal of the output is the posterior-weighted
@@ -183,6 +197,58 @@ class OffSampleRepairer {
   RepairStats stats_;
   std::vector<ChannelTables> tables_;  // index: (u * |S| + s) * dim + k
 };
+
+template <typename Rows>
+RepairStats OffSampleRepairer::RepairRows(const Rows& rows, size_t count, int threads) const {
+  const size_t s_levels = plans_.s_levels();
+  const size_t dim = plans_.dim();
+  std::vector<std::vector<uint32_t>> buckets(plans_.u_levels() * s_levels);
+  for (size_t i = 0; i < count; ++i)
+    buckets[static_cast<size_t>(rows.u(i)) * s_levels + static_cast<size_t>(rows.s(i))]
+        .push_back(static_cast<uint32_t>(i));
+  constexpr size_t kChunk = 256;
+  struct Chunk {
+    uint32_t bucket;
+    uint32_t begin;
+    uint32_t end;
+  };
+  std::vector<Chunk> chunks;
+  for (size_t b = 0; b < buckets.size(); ++b) {
+    for (size_t begin = 0; begin < buckets[b].size(); begin += kChunk) {
+      const size_t end = std::min(begin + kChunk, buckets[b].size());
+      chunks.push_back(Chunk{static_cast<uint32_t>(b), static_cast<uint32_t>(begin),
+                             static_cast<uint32_t>(end)});
+    }
+  }
+  std::vector<RepairStats> chunk_stats(chunks.size());
+  common::parallel::ParallelFor(
+      0, chunks.size(),
+      [&](size_t ci) {
+        const Chunk& c = chunks[ci];
+        const uint32_t* ids = buckets[c.bucket].data() + c.begin;
+        const int u = static_cast<int>(c.bucket / s_levels);
+        const int s = static_cast<int>(c.bucket % s_levels);
+        const size_t m = c.end - c.begin;
+        // k-major gather: channel k's values for the whole chunk form one
+        // contiguous span, repaired in place by RepairSpan.
+        std::vector<double> buf(m * dim);
+        std::vector<common::Rng> rngs;
+        rngs.reserve(m);
+        for (size_t t = 0; t < m; ++t) rngs.push_back(rows.rng(ids[t]));
+        for (size_t k = 0; k < dim; ++k)
+          for (size_t t = 0; t < m; ++t) buf[k * m + t] = rows.x(ids[t], k);
+        SpanScratch scratch;
+        for (size_t k = 0; k < dim; ++k)
+          RepairSpan(u, s, k, buf.data() + k * m, m, rngs.data(), buf.data() + k * m,
+                     chunk_stats[ci], scratch);
+        for (size_t k = 0; k < dim; ++k)
+          for (size_t t = 0; t < m; ++t) rows.set(ids[t], k, buf[k * m + t]);
+      },
+      static_cast<size_t>(threads));
+  RepairStats total;
+  for (const RepairStats& stats : chunk_stats) total.Add(stats);
+  return total;
+}
 
 }  // namespace otfair::core
 

@@ -11,11 +11,11 @@
 #include <cstring>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/trace.h"
 #include "serve/protocol.h"
+#include "serve/session.h"
 
 namespace otfair::net {
 
@@ -24,50 +24,34 @@ using common::Status;
 
 namespace {
 
-/// Verbs ParseRequestLine understands. A parse failure on a line whose
-/// first token is NOT one of these is garbage input (binary junk, the
-/// wrong protocol) and closes the connection; a malformed line with a
-/// known verb is a client bug worth an error line but not a disconnect.
-bool KnownVerb(const std::string& line) {
-  size_t i = line.find_first_not_of(" \t");
-  if (i == std::string::npos) return false;
-  const size_t j = line.find_first_of(" \t", i);
-  const std::string verb = line.substr(i, j == std::string::npos ? j : j - i);
-  return verb == "repair" || verb == "metrics" || verb == "health" || verb == "reload" ||
-         verb == "checkpoint" || verb == "quit";
-}
+/// epoll tags of a worker's listener and wake eventfd; connection ids
+/// start above them.
+constexpr uint64_t kListenTag = 0;
+constexpr uint64_t kWakeTag = 1;
 
 }  // namespace
 
 struct Server::Conn {
-  int fd = -1;
-  /// Unconsumed input bytes (at most one partial line after ProcessLines).
-  std::string in;
-  /// Pending output; [out_off, out.size()) is unsent.
-  std::string out;
-  size_t out_off = 0;
-  /// Deliver pending output, then close (quit / oversize / garbage / EOF).
-  bool close_after_flush = false;
+  Conn(const serve::SessionEnv* env, uint64_t id, int fd) : fd(fd), session(env, id) {}
+
+  int fd;
+  serve::Session session;
   bool closed = false;
   bool dirty = false;
-  bool read_eof = false;
-  /// Sessions whose responses route here (the affinity map's reverse
-  /// index, so closing the connection cleans the map in O(|sessions|)).
-  std::unordered_set<uint64_t> sessions;
 };
 
 struct Server::Worker {
-  int index = 0;
   Socket listen;
   int epoll_fd = -1;
   int wake_fd = -1;
   std::unique_ptr<serve::Batcher> batcher;
-  std::unordered_map<int, std::unique_ptr<Conn>> conns;
-  /// session id -> connection currently owning it (last writer wins; a
-  /// reconnecting client re-binds its sessions to the new connection).
-  std::unordered_map<uint64_t, Conn*> session_owner;
-  /// Connections (by fd) with output appended this epoll cycle.
-  std::vector<int> dirty;
+  serve::SessionEnv env;
+  /// Open connections by id. Ids are never reused (fds are), so a response
+  /// for a closed connection finds nothing here rather than a newcomer.
+  std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns;
+  uint64_t next_conn_id = kWakeTag + 1;
+  /// Connections (by id) with output appended this epoll cycle.
+  std::vector<uint64_t> dirty;
   /// Closed connections survive here until the end of the cycle so stack
   /// frames holding the pointer stay valid.
   std::vector<std::unique_ptr<Conn>> graveyard;
@@ -80,9 +64,7 @@ struct Server::Worker {
 };
 
 Server::Server(serve::RepairService* service, const ServerOptions& options, ServerHooks hooks)
-    : service_(service), options_(options), hooks_(std::move(hooks)) {
-  options_.batcher.background_flush = false;
-}
+    : service_(service), options_(options), hooks_(std::move(hooks)) {}
 
 Server::~Server() { Shutdown(); }
 
@@ -99,13 +81,6 @@ Result<std::unique_ptr<Server>> Server::Create(serve::RepairService* service,
 
   // One Server per service lifetime: the registry rejects duplicate names.
   obs::Registry& registry = service->metrics().registry();
-  auto counter = [&](const char* name, const char* help,
-                     obs::Counter** out) -> Status {
-    auto added = registry.AddCounter(name, help);
-    if (!added.ok()) return added.status();
-    *out = *added;
-    return Status::Ok();
-  };
   struct Spec {
     const char* name;
     const char* help;
@@ -135,9 +110,11 @@ Result<std::unique_ptr<Server>> Server::Create(serve::RepairService* service,
        "Repaired rows whose connection closed before delivery",
        &server->orphan_responses_},
   };
-  for (const Spec& spec : specs)
-    if (Status status = counter(spec.name, spec.help, spec.slot); !status.ok())
-      return status;
+  for (const Spec& spec : specs) {
+    auto added = registry.AddCounter(spec.name, spec.help);
+    if (!added.ok()) return added.status();
+    *spec.slot = *added;
+  }
   auto gauge = registry.AddGauge("otfair_net_active_connections",
                                  "Currently open TCP client connections");
   if (!gauge.ok()) return gauge.status();
@@ -154,7 +131,6 @@ Status Server::Start() {
   uint16_t port = options_.port;
   for (int i = 0; i < options_.net_threads; ++i) {
     auto worker = std::make_unique<Worker>();
-    worker->index = i;
     // The first bind resolves an ephemeral port; the rest share it via
     // SO_REUSEPORT, so the kernel distributes accepts across workers.
     uint16_t bound = 0;
@@ -174,25 +150,32 @@ Status Server::Start() {
     epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
     ev.events = EPOLLIN;  // level-triggered: re-notified while accepts pend
-    ev.data.fd = worker->listen.fd();
+    ev.data.u64 = kListenTag;
     if (::epoll_ctl(worker->epoll_fd, EPOLL_CTL_ADD, worker->listen.fd(), &ev) < 0)
       return Status::Internal(std::string("epoll_ctl(listen): ") + std::strerror(errno));
-    ev.data.fd = worker->wake_fd;
+    ev.data.u64 = kWakeTag;
     if (::epoll_ctl(worker->epoll_fd, EPOLL_CTL_ADD, worker->wake_fd, &ev) < 0)
       return Status::Internal(std::string("epoll_ctl(wake): ") + std::strerror(errno));
 
     Worker* w = worker.get();
     worker->batcher = std::make_unique<serve::Batcher>(
         service_, options_.batcher, [this, w](const serve::RowResponse& response) {
-          // Runs on the worker thread only (sole submitter, no flusher
-          // thread), so touching connection state here is race-free.
-          auto it = w->session_owner.find(response.session_id);
-          if (it == w->session_owner.end() || it->second->closed) {
+          // Runs on the worker thread only (the batcher's owner), so
+          // touching connection state here is race-free.
+          auto it = w->conns.find(response.stream_id);
+          if (it == w->conns.end()) {
             orphan_responses_->Add(1);
             return;
           }
-          Output(*w, it->second, serve::FormatRowResponse(response));
+          it->second->session.Deliver(response);
+          OutputQueued(*w, it->second.get());
         });
+    worker->env.service = service_;
+    worker->env.batcher = worker->batcher.get();
+    worker->env.checkpoint = hooks_.checkpoint;
+    worker->env.protocol_errors = protocol_errors_;
+    worker->env.oversize_closed = oversize_closed_;
+    worker->env.backpressure = backpressure_;
     workers_.push_back(std::move(worker));
   }
   for (auto& worker : workers_)
@@ -222,43 +205,37 @@ size_t Server::queue_depth() const {
 void Server::WorkerLoop(Worker& w) {
   std::vector<epoll_event> events(256);
   while (!stop_.load(std::memory_order_acquire)) {
-    // With rows pending the wait is bounded by the batcher's partial-batch
-    // deadline; otherwise a coarse tick (the wake eventfd makes shutdown
-    // prompt regardless).
-    const int timeout_ms =
-        w.batcher->queue_depth() > 0
-            ? std::max(1, static_cast<int>(options_.batcher.max_wait_us / 1000))
-            : 200;
-    const int n =
-        ::epoll_wait(w.epoll_fd, events.data(), static_cast<int>(events.size()), timeout_ms);
+    // No timeout: every cycle ends with an empty batcher, and Shutdown
+    // wakes the worker through the eventfd.
+    const int n = ::epoll_wait(w.epoll_fd, events.data(), static_cast<int>(events.size()), -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
     }
     for (int i = 0; i < n; ++i) {
       const epoll_event& ev = events[i];
-      const int fd = ev.data.fd;
-      if (fd == w.listen.fd()) {
+      const uint64_t tag = ev.data.u64;
+      if (tag == kListenTag) {
         AcceptBurst(w);
         continue;
       }
-      if (fd == w.wake_fd) {
+      if (tag == kWakeTag) {
         uint64_t junk;
         while (::read(w.wake_fd, &junk, sizeof(junk)) > 0) {
         }
         continue;
       }
-      auto it = w.conns.find(fd);
+      auto it = w.conns.find(tag);
       if (it == w.conns.end()) continue;
       Conn* c = it->second.get();
       if (ev.events & EPOLLIN) HandleReadable(w, c);
       if (!c->closed && (ev.events & EPOLLOUT)) FlushConn(w, c);
       if (!c->closed && (ev.events & (EPOLLERR | EPOLLHUP))) CloseConn(w, c);
     }
-    // Partial batches don't wait for the flusher thread there isn't:
-    // flushing once per cycle bounds latency at one epoll cycle while
-    // still coalescing rows across every connection that was readable.
-    if (w.batcher->queue_depth() > 0) w.batcher->Flush();
+    // Partial batches are flushed by their owner, once per cycle: latency
+    // is bounded by one epoll cycle while rows still coalesce across every
+    // connection that was readable.
+    w.batcher->Flush();
     FlushDirty(w);
     w.graveyard.clear();
   }
@@ -289,15 +266,14 @@ void Server::AcceptBurst(Worker& w) {
     epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
     ev.events = EPOLLIN | EPOLLOUT | EPOLLET;
-    ev.data.fd = fd;
+    const uint64_t id = w.next_conn_id++;
+    ev.data.u64 = id;
     if (::epoll_ctl(w.epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
       active_connections_.fetch_sub(1, std::memory_order_relaxed);
       ::close(fd);
       continue;
     }
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    w.conns.emplace(fd, std::move(conn));
+    w.conns.emplace(id, std::make_unique<Conn>(&w.env, id, fd));
     connections_accepted_->Add(1);
     active_gauge_->Set(static_cast<double>(active_connections_.load(std::memory_order_relaxed)));
   }
@@ -306,10 +282,10 @@ void Server::AcceptBurst(Worker& w) {
 void Server::HandleReadable(Worker& w, Conn* c) {
   OTFAIR_TRACE_SPAN("net_read");
   char buf[16384];
-  // Edge-triggered: read until EAGAIN. Lines are processed chunk by chunk
+  // Edge-triggered: read until EAGAIN. Lines are handled chunk by chunk
   // so a flood never accumulates more than one read's worth past the
   // request-line cap.
-  while (!c->closed && !c->close_after_flush) {
+  while (!c->closed && !c->session.closed()) {
     size_t n = 0;
     bool would_block = false;
     if (Status status = ReadSome(c->fd, buf, sizeof(buf), &n, &would_block); !status.ok()) {
@@ -318,168 +294,47 @@ void Server::HandleReadable(Worker& w, Conn* c) {
     }
     if (would_block) break;
     if (n == 0) {
-      c->read_eof = true;
-      break;
+      // Half-close: the client is done sending but may still be reading.
+      // The session delivers every response it is owed, then we FIN back.
+      c->session.EndOfInput();
+    } else {
+      bytes_read_->Add(n);
+      c->session.Feed(buf, n);
     }
-    bytes_read_->Add(n);
-    c->in.append(buf, n);
-    ProcessLines(w, c);
-  }
-  if (!c->closed && c->read_eof && !c->close_after_flush) {
-    // Half-close: the client is done sending but may still be reading.
-    // Deliver every response it is owed, then FIN back.
-    w.batcher->Flush();
-    c->close_after_flush = true;
-    FlushConn(w, c);
+    OutputQueued(w, c);
   }
 }
 
-void Server::ProcessLines(Worker& w, Conn* c) {
-  size_t start = 0;
-  while (!c->closed && !c->close_after_flush) {
-    const size_t nl = c->in.find('\n', start);
-    const size_t line_len =
-        (nl == std::string::npos ? c->in.size() : nl) - start;
-    if (line_len > serve::kMaxRequestLineBytes) {
-      // The cap holds across split reads: a newline-less line is rejected
-      // as soon as the buffered prefix alone exceeds it.
-      oversize_closed_->Add(1);
-      Output(w, c,
-             serve::FormatErrorLine(Status::InvalidArgument(
-                 "request line exceeds " + std::to_string(serve::kMaxRequestLineBytes) +
-                 " bytes")));
-      c->close_after_flush = true;
-      break;
-    }
-    if (nl == std::string::npos) break;
-    std::string line = c->in.substr(start, line_len);
-    start = nl + 1;
-    while (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    HandleLine(w, c, line);
-  }
-  c->in.erase(0, start);
-}
-
-void Server::HandleLine(Worker& w, Conn* c, const std::string& line) {
-  auto request = serve::ParseRequestLine(line, service_->dim(), service_->u_levels(),
-                                         service_->s_levels());
-  if (!request.ok()) {
-    protocol_errors_->Add(1);
-    Output(w, c, serve::FormatErrorLine(request.status()));
-    if (!KnownVerb(line)) {
-      // Garbage (unknown verb / binary junk): sanitized error line, then
-      // disconnect — this stream is not speaking the protocol.
-      oversize_closed_->Add(1);
-      c->close_after_flush = true;
-    }
-    return;
-  }
-  using serve::RequestKind;
-  switch (request->kind) {
-    case RequestKind::kRepair: {
-      const uint64_t session = request->row.session_id;
-      const uint64_t row = request->row.row_index;
-      // Bind the session to this connection before Submit: a full batch
-      // executes caller-runs and delivers through the sink inline.
-      w.session_owner[session] = c;
-      c->sessions.insert(session);
-      if (Status status = w.batcher->Submit(std::move(request->row)); !status.ok()) {
-        // Explicit backpressure: the row is answered, never dropped.
-        backpressure_->Add(1);
-        Output(w, c, serve::FormatErrorLine(session, row, status));
-      }
-      break;
-    }
-    case RequestKind::kMetrics:
-      Output(w, c, service_->metrics().Snapshot(w.batcher->queue_depth()).ToJson());
-      break;
-    case RequestKind::kMetricsProm: {
-      std::string text = service_->metrics().RenderPrometheus(w.batcher->queue_depth());
-      text += "# EOF";
-      Output(w, c, text);
-      break;
-    }
-    case RequestKind::kHealth:
-      Output(w, c, service_->Health().ToJson());
-      break;
-    case RequestKind::kReload: {
-      if (Status status = service_->ReloadPlanFromFile(request->plan_path); !status.ok()) {
-        Output(w, c, serve::FormatErrorLine(status));
-      } else {
-        Output(w, c, "ok reload " + std::to_string(service_->plan_version()));
-      }
-      break;
-    }
-    case RequestKind::kCheckpoint: {
-      if (!hooks_.checkpoint) {
-        Output(w, c,
-               serve::FormatErrorLine(Status::FailedPrecondition(
-                   "checkpointing disabled (serve with --checkpoint_dir)")));
-        break;
-      }
-      // Drain this worker's in-flight micro-batch first so the acked
-      // generation covers every row this connection submitted before the
-      // verb (session affinity pins its rows to this batcher).
-      w.batcher->Flush();
-      auto generation = hooks_.checkpoint();
-      if (!generation.ok()) {
-        Output(w, c, serve::FormatErrorLine(generation.status()));
-      } else {
-        Output(w, c, "ok checkpoint " + std::to_string(*generation));
-      }
-      break;
-    }
-    case RequestKind::kQuit:
-      // Per-connection goodbye (the process keeps serving): deliver the
-      // rows this worker still has queued, then close after the flush.
-      w.batcher->Flush();
-      c->close_after_flush = true;
-      break;
-  }
-}
-
-void Server::Output(Worker& w, Conn* c, const std::string& line) {
-  if (c->closed) {
-    orphan_responses_->Add(1);
-    return;
-  }
-  c->out += line;
-  c->out += '\n';
+void Server::OutputQueued(Worker& w, Conn* c) {
+  if (c->closed) return;
   if (!c->dirty) {
     c->dirty = true;
-    w.dirty.push_back(c->fd);
+    w.dirty.push_back(c->session.stream_id());
   }
   // Opportunistic flush keeps memory flat during huge pipelined bursts.
-  if (c->out.size() - c->out_off >= 256 * 1024) FlushConn(w, c);
-  if (!c->closed && c->out.size() - c->out_off > options_.max_write_buffer_bytes)
+  if (c->session.pending_output_size() >= 256 * 1024) FlushConn(w, c);
+  if (!c->closed && c->session.pending_output_size() > options_.max_write_buffer_bytes)
     CloseConn(w, c);  // reader too slow to ever catch up
 }
 
 void Server::FlushConn(Worker& w, Conn* c) {
   if (c->closed) return;
   OTFAIR_TRACE_SPAN("net_flush");
-  while (c->out_off < c->out.size()) {
+  serve::Session& session = c->session;
+  while (session.pending_output_size() > 0) {
     size_t n = 0;
     bool would_block = false;
-    if (Status status = WriteSome(c->fd, c->out.data() + c->out_off,
-                                  c->out.size() - c->out_off, &n, &would_block);
+    if (Status status = WriteSome(c->fd, session.pending_output(),
+                                  session.pending_output_size(), &n, &would_block);
         !status.ok()) {
       CloseConn(w, c);
       return;
     }
     if (would_block) break;  // EPOLLOUT edge resumes the flush
-    c->out_off += n;
+    session.ConsumeOutput(n);
     bytes_written_->Add(n);
   }
-  if (c->out_off == c->out.size()) {
-    c->out.clear();
-    c->out_off = 0;
-    if (c->close_after_flush) CloseConn(w, c);
-  } else if (c->out_off > (1u << 20)) {
-    c->out.erase(0, c->out_off);
-    c->out_off = 0;
-  }
+  if (session.pending_output_size() == 0 && session.closed()) CloseConn(w, c);
 }
 
 void Server::FlushDirty(Worker& w) {
@@ -488,7 +343,7 @@ void Server::FlushDirty(Worker& w) {
     if (it == w.conns.end()) continue;
     Conn* c = it->second.get();
     c->dirty = false;
-    if (!c->closed) FlushConn(w, c);
+    FlushConn(w, c);
   }
   w.dirty.clear();
 }
@@ -498,16 +353,12 @@ void Server::CloseConn(Worker& w, Conn* c) {
   c->closed = true;
   ::epoll_ctl(w.epoll_fd, EPOLL_CTL_DEL, c->fd, nullptr);
   ::close(c->fd);
-  for (const uint64_t session : c->sessions) {
-    auto it = w.session_owner.find(session);
-    if (it != w.session_owner.end() && it->second == c) w.session_owner.erase(it);
-  }
   connections_closed_->Add(1);
   active_connections_.fetch_sub(1, std::memory_order_relaxed);
   active_gauge_->Set(static_cast<double>(active_connections_.load(std::memory_order_relaxed)));
   // Defer destruction to the end of the cycle: callers up the stack may
   // still hold the pointer.
-  auto it = w.conns.find(c->fd);
+  auto it = w.conns.find(c->session.stream_id());
   if (it != w.conns.end()) {
     w.graveyard.push_back(std::move(it->second));
     w.conns.erase(it);
@@ -521,32 +372,30 @@ void Server::DrainWorker(Worker& w) {
     w.listen.Close();
   }
   // Every accepted row gets repaired and its response buffered.
-  w.batcher->Flush();
   w.batcher->Close();
   // Bounded wait for clients to absorb the final responses.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.drain_timeout_ms);
+  auto conn_ids = [&w] {
+    std::vector<uint64_t> ids;
+    ids.reserve(w.conns.size());
+    for (const auto& entry : w.conns) ids.push_back(entry.first);
+    return ids;
+  };
   while (std::chrono::steady_clock::now() < deadline) {
     bool pending = false;
-    std::vector<int> fds;
-    fds.reserve(w.conns.size());
-    for (const auto& entry : w.conns) fds.push_back(entry.first);
-    for (const int fd : fds) {
-      auto it = w.conns.find(fd);
+    for (const uint64_t id : conn_ids()) {
+      auto it = w.conns.find(id);
       if (it == w.conns.end()) continue;
       Conn* c = it->second.get();
-      if (c->closed) continue;
       FlushConn(w, c);
-      if (!c->closed && c->out_off < c->out.size()) pending = true;
+      if (!c->closed && c->session.pending_output_size() > 0) pending = true;
     }
     if (!pending) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  std::vector<int> fds;
-  fds.reserve(w.conns.size());
-  for (const auto& entry : w.conns) fds.push_back(entry.first);
-  for (const int fd : fds) {
-    auto it = w.conns.find(fd);
+  for (const uint64_t id : conn_ids()) {
+    auto it = w.conns.find(id);
     if (it != w.conns.end()) CloseConn(w, it->second.get());
   }
   w.graveyard.clear();

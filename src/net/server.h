@@ -38,10 +38,10 @@ struct ServerOptions {
   /// Bound on how long a drain waits for clients to absorb final
   /// responses before closing on them.
   int drain_timeout_ms = 5000;
-  /// Per-worker micro-batcher config. `background_flush` is forced off:
-  /// the worker thread is the only submitter and flushes at the end of
-  /// every epoll cycle, so batch execution (and therefore the response
-  /// sink) stays on the worker thread — connection state needs no locks.
+  /// Per-worker micro-batcher config. Each worker thread owns its
+  /// batcher and flushes it at the end of every epoll cycle, so batch
+  /// execution and the response sink stay on the worker thread and
+  /// connection state needs no locks.
   serve::BatcherOptions batcher;
 };
 
@@ -54,19 +54,27 @@ struct ServerHooks {
 
 /// Non-blocking epoll TCP front end for a `RepairService`.
 ///
-/// Speaks exactly the stdio `serve` line protocol (serve/protocol.h is
-/// reused unchanged), reassembled across arbitrary packetization; the
-/// 64KiB request-line cap holds across split reads. Repair rows flow
-/// through a per-worker `serve::Batcher` into the lock-free service
-/// snapshot, so the `(seed, session_id, row_index)` determinism contract
-/// is untouched by the network hop: per session, TCP output is
-/// bit-identical to offline batch repair and to stdio serve.
+/// Speaks the serve protocol (serve/protocol.h) through one
+/// `serve::Session` per connection — the same session stdio serve drives —
+/// so framing, the 64KiB line cap, verb handling and error semantics are
+/// shared, not reimplemented. Repair rows flow through the worker's
+/// `serve::Batcher` into the service snapshot, so the
+/// `(seed, session_id, row_index)` determinism contract is untouched by
+/// the network hop: per session, TCP output is bit-identical to offline
+/// batch repair and to stdio serve.
+///
+/// Routing: each connection gets a per-worker id that is never reused
+/// (fds are). Rows carry it as `RowRequest::stream_id`, and the batcher's
+/// sink delivers each response to the connection with that id, so a
+/// session may span connections and every row is answered to the
+/// connection that sent it. A response whose connection has closed is
+/// counted in `otfair_net_orphan_responses_total`.
 ///
 /// Backpressure is explicit: a rejected Submit becomes an immediate
-/// `err <session> <row> UNAVAILABLE ...` line (same semantics as stdio
-/// serve) — rows are never silently dropped. Oversized or unparseable-verb
-/// input closes the connection after a sanitized error line; malformed
-/// arguments to a known verb get an error line and the connection lives.
+/// `err <session> <row> UNAVAILABLE ...` line — rows are never silently
+/// dropped. Oversized or garbage input closes the connection after a
+/// sanitized error line; malformed arguments to a known verb get an error
+/// line and the connection lives.
 ///
 /// `Shutdown()` (idempotent, also run by the destructor) drains
 /// gracefully: listeners close first, queued rows flush through the
@@ -102,9 +110,10 @@ class Server {
   void WorkerLoop(Worker& w);
   void AcceptBurst(Worker& w);
   void HandleReadable(Worker& w, Conn* c);
-  void ProcessLines(Worker& w, Conn* c);
-  void HandleLine(Worker& w, Conn* c, const std::string& line);
-  void Output(Worker& w, Conn* c, const std::string& line);
+  /// After output was appended to `c`: schedule its end-of-cycle write,
+  /// write early under a large backlog, and drop a reader too slow to
+  /// ever catch up.
+  void OutputQueued(Worker& w, Conn* c);
   void FlushConn(Worker& w, Conn* c);
   void FlushDirty(Worker& w);
   void CloseConn(Worker& w, Conn* c);

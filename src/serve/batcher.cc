@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/check.h"
 #include "obs/trace.h"
 
 namespace otfair::serve {
@@ -14,102 +15,52 @@ Batcher::Batcher(RepairService* service, const BatcherOptions& options, Sink sin
         BatcherOptions o = options;
         if (o.max_batch == 0) o.max_batch = 1;
         if (o.max_queue_depth == 0) o.max_queue_depth = 1;
-        if (o.max_wait_us < 0) o.max_wait_us = 0;
         return o;
       }()),
-      sink_(std::move(sink)),
-      queue_(options_.max_queue_depth) {
-  if (options_.background_flush) flusher_ = std::thread([this] { FlusherLoop(); });
+      sink_(std::move(sink)) {
+  OTFAIR_CHECK(!options_.background_flush) << "the batcher has no flusher thread";
 }
 
 Batcher::~Batcher() { Close(); }
 
 Status Batcher::Submit(RowRequest&& request) {
   OTFAIR_TRACE_SPAN("admit");
-  if (closed_.load(std::memory_order_acquire))
-    return Status::Unavailable("batcher is closed");
-  Item item{std::move(request), {}, false};
-  if (options_.latency_sample_every == 1 ||
-      (options_.latency_sample_every > 1 &&
-       submit_counter_.fetch_add(1, std::memory_order_relaxed) %
-               options_.latency_sample_every ==
-           0)) {
-    item.sampled = true;
-    item.enqueue = std::chrono::steady_clock::now();
-  }
-  size_t size_after = 0;
-  if (!queue_.TryPush(std::move(item), &size_after)) {
-    // TryPush does not move on failure; hand the request back untouched.
-    request = std::move(item.request);
+  if (closed_) return Status::Unavailable("batcher is closed");
+  if (pending_.size() >= options_.max_queue_depth) {
     service_->metrics().AddRejected(1);
-    return Status::Unavailable(queue_.closed() ? "batcher is closed"
-                                               : "queue full (backpressure)");
+    return Status::Unavailable("queue full (backpressure)");
   }
+  if (options_.latency_sample_every > 0 &&
+      submitted_++ % options_.latency_sample_every == 0)
+    sampled_.push_back(std::chrono::steady_clock::now());
+  pending_.push_back(std::move(request));
   // Caller-runs: the submitter that fills a batch executes it. This keeps
-  // the hot path free of wakeup latency and makes backpressure natural —
-  // a producer outrunning the service spends its own time repairing.
-  if (size_after >= options_.max_batch) ExecuteOne();
+  // the hot path free of handoffs and makes backpressure natural — a
+  // producer outrunning the service spends its own time repairing.
+  if (pending_.size() >= options_.max_batch) Flush();
   return Status::Ok();
 }
 
-size_t Batcher::ExecuteOne() {
-  std::lock_guard<std::mutex> lock(exec_mu_);
-  exec_items_.clear();
-  if (queue_.TryPopBatch(options_.max_batch, &exec_items_) == 0) return 0;
-  ExecuteItems(&exec_items_);
-  return exec_items_.size();
-}
-
-void Batcher::ExecuteItems(std::vector<Item>* items) {
-  OTFAIR_TRACE_SPAN("batch_flush");
-  const size_t n = items->size();
-  exec_requests_.clear();
-  exec_requests_.reserve(n);
-  for (Item& item : *items) exec_requests_.push_back(std::move(item.request));
-  service_->RepairBatch(exec_requests_.data(), n, &exec_responses_);
-  // One completion stamp per batch: request latency = queue wait + batch
-  // execution, which the shared endpoint captures for every sampled row.
-  const auto now = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < n; ++i) {
-    if ((*items)[i].sampled)
-      service_->metrics().RecordLatencyUs(
-          std::chrono::duration<double, std::micro>(now - (*items)[i].enqueue).count());
-    if (sink_) sink_(exec_responses_[i]);
-  }
-}
-
 void Batcher::Flush() {
-  while (ExecuteOne() > 0) {
+  if (pending_.empty()) return;
+  OTFAIR_TRACE_SPAN("batch_flush");
+  service_->RepairBatch(pending_.data(), pending_.size(), &responses_);
+  // One completion stamp per batch: request latency = queue wait + batch
+  // execution, recorded for every sampled row.
+  if (!sampled_.empty()) {
+    const auto now = std::chrono::steady_clock::now();
+    for (const auto enqueue : sampled_)
+      service_->metrics().RecordLatencyUs(
+          std::chrono::duration<double, std::micro>(now - enqueue).count());
   }
-}
-
-void Batcher::FlusherLoop() {
-  std::vector<Item> items;
-  while (true) {
-    items.clear();
-    // Sleep until traffic arrives, then give stragglers max_wait_us to
-    // fill the batch. A zero pop means closed-and-drained (the empty-queue
-    // wait has no deadline) — time to exit.
-    const size_t n = queue_.PopBatchWhenReady(
-        options_.max_batch, &items, std::chrono::microseconds(options_.max_wait_us));
-    if (n == 0) {
-      if (queue_.closed() && queue_.size() == 0) return;
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(exec_mu_);
-    ExecuteItems(&items);
-  }
+  pending_.clear();
+  sampled_.clear();
+  if (sink_)
+    for (const RowResponse& response : responses_) sink_(response);
 }
 
 void Batcher::Close() {
-  bool expected = false;
-  if (!closed_.compare_exchange_strong(expected, true)) {
-    // Already closed; still make sure nothing is left behind.
-    Flush();
-    return;
-  }
-  queue_.Close();
-  if (flusher_.joinable()) flusher_.join();
+  closed_ = true;
   Flush();
 }
 

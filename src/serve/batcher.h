@@ -1,17 +1,13 @@
 #ifndef OTFAIR_SERVE_BATCHER_H_
 #define OTFAIR_SERVE_BATCHER_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
-#include "common/work_queue.h"
 #include "serve/repair_service.h"
 
 namespace otfair::serve {
@@ -19,20 +15,15 @@ namespace otfair::serve {
 struct BatcherOptions {
   /// Rows coalesced into one RepairBatch call.
   size_t max_batch = 256;
-  /// Pending-row bound; a Submit against a full queue is rejected with
+  /// Pending-row bound; a Submit against a full batcher is rejected with
   /// UNAVAILABLE (explicit backpressure — the service never buffers
   /// unboundedly). May be smaller than max_batch, in which case batches
-  /// fill only to the queue capacity.
+  /// fill only to this depth.
   size_t max_queue_depth = 4096;
-  /// How long a partial batch may wait for stragglers before the
-  /// background flusher executes it anyway. Only meaningful with
-  /// background_flush.
-  int64_t max_wait_us = 1000;
-  /// Run a flusher thread that bounds the latency of partial batches.
-  /// Without it the batcher only executes on full batches (caller-runs)
-  /// and on explicit Flush()/Close() — the right mode for replay/bench
-  /// loops that drive traffic as fast as they can and flush at the end.
-  bool background_flush = true;
+  /// Must stay false: the batcher has no flusher thread, and its owner
+  /// flushes partial batches itself. The field survives only so callers
+  /// that still assign it (false) keep compiling.
+  bool background_flush = false;
   /// Latency histogram sampling: every Nth accepted row is timestamped
   /// and recorded (1 = every row). Sampling keeps the hot path down to
   /// one clock read per N rows while the quantiles stay statistically
@@ -40,77 +31,60 @@ struct BatcherOptions {
   size_t latency_sample_every = 16;
 };
 
-/// Micro-batching front end of a `RepairService`.
+/// Single-owner micro-batching front end of a `RepairService`.
 ///
-/// Producers call `Submit` with single rows from any number of threads;
-/// the batcher coalesces them into `max_batch`-row `RepairBatch` calls.
-/// Execution is caller-runs: the submitter that fills a batch repairs it
-/// in place (no handoff latency on the hot path), while the optional
-/// background flusher picks up partial batches after `max_wait_us`.
+/// One thread owns a batcher: it calls `Submit` with single rows, and the
+/// batcher coalesces them into `max_batch`-row `RepairBatch` calls.
+/// Execution is caller-runs: the Submit that fills a batch repairs it in
+/// place, and the owner flushes partial batches with `Flush()` (a serving
+/// loop does so after every read). Nothing here locks or spawns threads;
+/// code that serves several threads gives each its own batcher over the
+/// shared, thread-safe service.
 ///
 /// Delivery contract: every accepted row is repaired and delivered to the
-/// sink exactly once — including rows still queued at Close(). Responses
-/// carry their (session, row) identity; delivery order across batches is
-/// unspecified. The sink may be called concurrently from submitter and
-/// flusher threads and must be thread-safe; it must not call back into
-/// the batcher (it runs under the execution lock).
+/// sink exactly once — including rows still pending at Close(). Responses
+/// carry their (session, row, stream) identity. The sink runs on the
+/// owner's thread inside Submit/Flush/Close and must not call back into
+/// the batcher.
 class Batcher {
  public:
   using Sink = std::function<void(const RowResponse&)>;
 
-  /// `service` must outlive the batcher. The sink must be thread-safe.
+  /// `service` must outlive the batcher.
   Batcher(RepairService* service, const BatcherOptions& options, Sink sink);
   ~Batcher();
 
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
 
-  /// Enqueues one row. Returns UNAVAILABLE when the queue is full
-  /// (backpressure) or the batcher is closed; on failure `request` is
-  /// left intact so the caller may retry. When the submit fills a batch,
-  /// the calling thread executes it before returning.
+  /// Queues one row. Returns UNAVAILABLE when `max_queue_depth` rows are
+  /// pending (backpressure) or the batcher is closed; on failure `request`
+  /// is left intact so the caller may retry. When the submit fills a
+  /// batch, it is repaired and delivered before Submit returns.
   common::Status Submit(RowRequest&& request);
 
-  /// Synchronously drains and repairs everything pending. Callable from
-  /// any thread, concurrently with Submits.
+  /// Repairs and delivers everything pending.
   void Flush();
 
-  /// Rejects further submits, stops the flusher, and drains what remains.
-  /// Idempotent; also run by the destructor.
+  /// Rejects further submits and drains what remains. Idempotent; also
+  /// run by the destructor.
   void Close();
 
   /// Pending rows (live gauge for metrics snapshots).
-  size_t queue_depth() const { return queue_.size(); }
+  size_t queue_depth() const { return pending_.size(); }
 
   const BatcherOptions& options() const { return options_; }
 
  private:
-  struct Item {
-    RowRequest request;
-    /// Set only on sampled rows (see latency_sample_every).
-    std::chrono::steady_clock::time_point enqueue;
-    bool sampled = false;
-  };
-
-  /// Pops up to one batch and repairs it; returns rows executed.
-  size_t ExecuteOne();
-  /// Repairs `items` (requests are moved out) and delivers responses.
-  /// Caller holds exec_mu_.
-  void ExecuteItems(std::vector<Item>* items);
-  void FlusherLoop();
-
   RepairService* service_;
   BatcherOptions options_;
   Sink sink_;
-  common::BoundedWorkQueue<Item> queue_;
-  /// Serializes batch execution; scratch buffers below are guarded by it.
-  std::mutex exec_mu_;
-  std::vector<Item> exec_items_;
-  std::vector<RowRequest> exec_requests_;
-  std::vector<RowResponse> exec_responses_;
-  std::atomic<uint64_t> submit_counter_{0};
-  std::atomic<bool> closed_{false};
-  std::thread flusher_;
+  std::vector<RowRequest> pending_;
+  /// Arrival times of the latency-sampled pending rows.
+  std::vector<std::chrono::steady_clock::time_point> sampled_;
+  std::vector<RowResponse> responses_;
+  uint64_t submitted_ = 0;
+  bool closed_ = false;
 };
 
 }  // namespace otfair::serve

@@ -8,8 +8,11 @@
 
 namespace otfair::serve {
 
-/// The newline-delimited request/response protocol `otfair serve` speaks
-/// on stdin/stdout. One request per line, whitespace-separated fields:
+/// The newline-delimited request/response protocol `otfair serve` speaks.
+/// One protocol, two transports: stdin/stdout, or one stream per TCP
+/// connection (`otfair serve --listen`). Both drive a `serve::Session`
+/// (serve/session.h), which owns framing and verb dispatch. One request
+/// per line, whitespace-separated fields:
 ///
 ///   repair <session_id> <row_index> <u> <s> <x_1> ... <x_d>
 ///   metrics              -> one-line JSON metrics snapshot
@@ -17,7 +20,7 @@ namespace otfair::serve {
 ///   health               -> one-line JSON drift/health verdict
 ///   reload <plan_path>   -> hot-swaps the serving plan
 ///   checkpoint           -> forces a synchronous checkpoint write
-///   quit                 -> drains pending work and exits
+///   quit                 -> delivers pending rows and ends the stream
 ///
 /// Responses (one line each):
 ///
@@ -32,7 +35,8 @@ namespace otfair::serve {
 /// exposition grammar, so the payload stays checker-clean).
 ///
 /// Repaired values are printed with %.17g, so a round trip through the
-/// protocol is bit-exact.
+/// protocol is bit-exact. Framing and which errors end a stream are
+/// `serve::Session`'s.
 
 enum class RequestKind { kRepair, kMetrics, kMetricsProm, kHealth, kReload, kCheckpoint, kQuit };
 

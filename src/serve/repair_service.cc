@@ -56,14 +56,6 @@ struct RepairService::Snapshot {
   std::vector<std::unique_ptr<DriftShard>> drift_shards;
 
   Snapshot(core::OffSampleRepairer r, uint64_t v) : repairer(std::move(r)), version(v) {}
-
-  /// Stable shard choice for a request identity (any deterministic spread
-  /// works — this only balances lock contention).
-  size_t ShardFor(uint64_t session_id, uint64_t row_index) const {
-    uint64_t h = row_index * 0x9e3779b97f4a7c15ULL + session_id;
-    h ^= h >> 29;
-    return static_cast<size_t>(h % drift_shards.size());
-  }
 };
 
 std::string ServiceHealth::ToJson() const {
@@ -133,7 +125,7 @@ Result<std::unique_ptr<RepairService>> RepairService::Create(core::RepairPlanSet
   if (!snapshot.ok()) return snapshot.status();
   std::unique_ptr<RepairService> service(
       new RepairService(dim, s_levels, u_levels, options));
-  service->snapshot_.store(std::move(*snapshot), std::memory_order_release);
+  service->snapshot_ = std::move(*snapshot);
 
   // Scrape-time callback families on the metric registry. The raw pointer
   // captures are safe: the handles unregister in ~RepairService before any
@@ -180,6 +172,11 @@ Result<std::unique_ptr<RepairService>> RepairService::Create(core::RepairPlanSet
   return service;
 }
 
+std::shared_ptr<RepairService::Snapshot> RepairService::CurrentSnapshot() const {
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  return snapshot_;
+}
+
 uint64_t RepairService::SessionSeed(uint64_t session_id) const {
   if (session_id == 0) return options_.seed;
   return common::Rng::ForStream(options_.seed, session_id).Next64();
@@ -188,6 +185,7 @@ uint64_t RepairService::SessionSeed(uint64_t session_id) const {
 bool RepairService::ValidateRequest(const RowRequest& request, RowResponse* response) const {
   response->session_id = request.session_id;
   response->row_index = request.row_index;
+  response->stream_id = request.stream_id;
   if (request.features.size() != dim_) {
     response->repaired.clear();
     response->status = Status::InvalidArgument(
@@ -206,117 +204,59 @@ bool RepairService::ValidateRequest(const RowRequest& request, RowResponse* resp
   return true;
 }
 
-bool RepairService::RepairRowOnSnapshot(const Snapshot& snap, const RowRequest& request,
-                                        RowResponse* response) const {
-  if (!ValidateRequest(request, response)) return false;
-  // The determinism contract: randomness is a pure function of
-  // (seed, session, row) — see RowRequest.
-  common::Rng rng = common::Rng::ForStream(SessionSeed(request.session_id), request.row_index);
-  core::RepairStats stats;
-  response->repaired.resize(dim_);
-  for (size_t k = 0; k < dim_; ++k) {
-    response->repaired[k] =
-        snap.repairer.RepairValueAt(request.u, request.s, k, request.features[k], rng, stats);
-  }
-  response->status = Status::Ok();
-  return true;
-}
-
 Status RepairService::RepairRow(const RowRequest& request, RowResponse* response) {
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
-  metrics_.AddAccepted(1);
-  metrics_.AddBatch();
-  if (RepairRowOnSnapshot(*snap, request, response)) {
-    metrics_.AddRepaired(1);
-    // Feed the (pre-repair) values into the drift accumulator: drift is a
-    // property of the incoming archival stream vs the design marginals.
-    Snapshot::DriftShard& shard =
-        *snap->drift_shards[snap->ShardFor(request.session_id, request.row_index)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.ObserveRow(request, dim_, s_levels_, options_.sketch_sample_every);
-  } else {
-    metrics_.AddInvalid(1);
-  }
+  std::vector<RowResponse> responses;
+  RepairBatch(&request, 1, &responses);
+  *response = std::move(responses[0]);
   return response->status;
 }
 
 void RepairService::RepairBatch(const RowRequest* requests, size_t count,
                                 std::vector<RowResponse>* responses) {
   // One snapshot acquisition per batch: every row of a batch is served by
-  // the same plan version, and the atomic load amortizes to nothing.
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
+  // the same plan version, and the locked pointer copy amortizes to
+  // nothing.
+  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
   responses->resize(count);
   if (count == 0) return;
   metrics_.AddAccepted(count);
   metrics_.AddBatch();
 
-  // Validation pass, serial and cheap, doubling as the SoA grouping pass:
-  // valid rows are bucketed by their (u, s) label pair so the repair pass
-  // can run channel-major through OffSampleRepairer::RepairSpan — every
-  // table lookup run stays inside one channel's slot-major alias arena
-  // instead of cycling through all dim_ channels per row. Per-row
-  // (session, row) generators keep each response a pure function of the
-  // request, so regrouping cannot change any output (the single-row path
-  // and this batch path agree bit-for-bit).
-  uint64_t bad = 0;
-  std::vector<std::vector<uint32_t>> buckets(u_levels_ * s_levels_);
+  // Validation pass, serial and cheap; the valid rows go through the
+  // repairer's batch path. Per-row (session, row) generators keep each
+  // response a pure function of the request, so the grouping cannot
+  // change any output.
+  std::vector<uint32_t> valid;
+  valid.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    if (ValidateRequest(requests[i], &(*responses)[i])) {
-      buckets[static_cast<size_t>(requests[i].u) * s_levels_ +
-              static_cast<size_t>(requests[i].s)]
-          .push_back(static_cast<uint32_t>(i));
-    } else {
-      ++bad;
-    }
+    RowResponse& response = (*responses)[i];
+    if (!ValidateRequest(requests[i], &response)) continue;
+    response.repaired.resize(dim_);
+    response.status = Status::Ok();
+    valid.push_back(static_cast<uint32_t>(i));
   }
-  metrics_.AddRepaired(count - bad);
-  if (bad > 0) metrics_.AddInvalid(bad);
+  metrics_.AddRepaired(valid.size());
+  if (valid.size() < count) metrics_.AddInvalid(count - valid.size());
 
-  constexpr size_t kChunk = 256;
-  struct Chunk {
-    uint32_t bucket;
-    uint32_t begin;
-    uint32_t end;
-  };
-  std::vector<Chunk> chunks;
-  for (size_t b = 0; b < buckets.size(); ++b) {
-    for (size_t begin = 0; begin < buckets[b].size(); begin += kChunk) {
-      const size_t end = std::min(begin + kChunk, buckets[b].size());
-      chunks.push_back(Chunk{static_cast<uint32_t>(b), static_cast<uint32_t>(begin),
-                             static_cast<uint32_t>(end)});
+  struct RequestRows {
+    const RepairService& service;
+    const RowRequest* requests;
+    std::vector<RowResponse>& responses;
+    const std::vector<uint32_t>& valid;
+    int u(size_t j) const { return requests[valid[j]].u; }
+    int s(size_t j) const { return requests[valid[j]].s; }
+    double x(size_t j, size_t k) const { return requests[valid[j]].features[k]; }
+    common::Rng rng(size_t j) const {
+      // The determinism contract: randomness is a pure function of
+      // (seed, session, row) — see RowRequest.
+      const RowRequest& request = requests[valid[j]];
+      return common::Rng::ForStream(service.SessionSeed(request.session_id),
+                                    request.row_index);
     }
-  }
-  common::parallel::ParallelFor(
-      0, chunks.size(),
-      [&](size_t ci) {
-        const Chunk& c = chunks[ci];
-        const uint32_t* ids = buckets[c.bucket].data() + c.begin;
-        const int u = static_cast<int>(c.bucket / s_levels_);
-        const int s = static_cast<int>(c.bucket % s_levels_);
-        const size_t m = c.end - c.begin;
-        std::vector<double> buf(m * dim_);
-        std::vector<common::Rng> rngs;
-        rngs.reserve(m);
-        for (size_t t = 0; t < m; ++t) {
-          const RowRequest& request = requests[ids[t]];
-          rngs.push_back(
-              common::Rng::ForStream(SessionSeed(request.session_id), request.row_index));
-        }
-        for (size_t k = 0; k < dim_; ++k)
-          for (size_t t = 0; t < m; ++t) buf[k * m + t] = requests[ids[t]].features[k];
-        core::RepairStats stats;
-        core::OffSampleRepairer::SpanScratch scratch;
-        for (size_t k = 0; k < dim_; ++k)
-          snap->repairer.RepairSpan(u, s, k, buf.data() + k * m, m, rngs.data(),
-                                    buf.data() + k * m, stats, scratch);
-        for (size_t t = 0; t < m; ++t) {
-          RowResponse& response = (*responses)[ids[t]];
-          response.repaired.resize(dim_);
-          for (size_t k = 0; k < dim_; ++k) response.repaired[k] = buf[k * m + t];
-          response.status = Status::Ok();
-        }
-      },
-      static_cast<size_t>(options_.threads));
+    void set(size_t j, size_t k, double y) const { responses[valid[j]].repaired[k] = y; }
+  };
+  snap->repairer.RepairRows(RequestRows{*this, requests, *responses, valid}, valid.size(),
+                            options_.threads);
 
   // Drift observation, amortized: the whole batch lands in one shard
   // (rotating across batches), so the serial pass takes the shard lock
@@ -326,10 +266,8 @@ void RepairService::RepairBatch(const RowRequest* requests, size_t count,
       *snap->drift_shards[batch_counter_.fetch_add(1, std::memory_order_relaxed) %
                           snap->drift_shards.size()];
   std::lock_guard<std::mutex> lock(shard.mu);
-  for (size_t i = 0; i < count; ++i) {
-    if (!(*responses)[i].status.ok()) continue;
+  for (const uint32_t i : valid)
     shard.ObserveRow(requests[i], dim_, s_levels_, options_.sketch_sample_every);
-  }
 }
 
 Status RepairService::ReloadPlan(core::RepairPlanSet plans) {
@@ -348,12 +286,18 @@ Status RepairService::ReloadPlan(core::RepairPlanSet plans) {
           "reload plan has |S|=" + std::to_string(plans.s_levels()) + ", |U|=" +
           std::to_string(plans.u_levels()) + "; service serves |S|=" +
           std::to_string(s_levels_) + ", |U|=" + std::to_string(u_levels_));
-    const uint64_t next_version = snapshot_.load(std::memory_order_acquire)->version + 1;
+    const uint64_t next_version = CurrentSnapshot()->version + 1;
     auto snapshot = BuildSnapshot(std::move(plans), options_, next_version);
     if (!snapshot.ok()) return snapshot.status();
-    // The swap itself: one release store. Readers that loaded the old
-    // snapshot keep it alive until their request completes.
-    snapshot_.store(std::move(*snapshot), std::memory_order_release);
+    // The swap itself: one pointer store under the accessor's mutex.
+    // Readers that copied the old pointer keep that snapshot alive until
+    // their request completes, and the old snapshot is released outside
+    // the lock.
+    std::shared_ptr<Snapshot> old = std::move(*snapshot);
+    {
+      std::lock_guard<std::mutex> snapshot_lock(snapshot_mu_);
+      snapshot_.swap(old);
+    }
     return Status::Ok();
   }();
   if (!status.ok()) {
@@ -376,11 +320,11 @@ Status RepairService::ReloadPlanFromFile(const std::string& path) {
 }
 
 uint64_t RepairService::plan_version() const {
-  return snapshot_.load(std::memory_order_acquire)->version;
+  return CurrentSnapshot()->version;
 }
 
 RepairService::PlanGeometry RepairService::Geometry() const {
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
+  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
   const core::RepairPlanSet& plans = snap->repairer.plans();
   PlanGeometry geometry;
   geometry.feature_names = plans.feature_names();
@@ -390,31 +334,35 @@ RepairService::PlanGeometry RepairService::Geometry() const {
   return geometry;
 }
 
-core::DriftReport RepairService::DriftSnapshot() const {
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
+namespace {
+
+/// Merges a snapshot's drift shards, copying each under its lock. Same
+/// plan set by construction, so the merge cannot fail.
+template <typename Shards>
+core::DriftMonitor MergeDrift(const Shards& shards) {
   core::DriftMonitor merged = [&] {
-    std::lock_guard<std::mutex> lock(snap->drift_shards[0]->mu);
-    return snap->drift_shards[0]->monitor;  // copy under the shard lock
+    std::lock_guard<std::mutex> lock(shards[0]->mu);
+    return shards[0]->monitor;
   }();
-  for (size_t i = 1; i < snap->drift_shards.size(); ++i) {
-    std::lock_guard<std::mutex> lock(snap->drift_shards[i]->mu);
-    // Same plan set by construction; merge cannot fail.
-    merged.MergeFrom(snap->drift_shards[i]->monitor);
+  for (size_t i = 1; i < shards.size(); ++i) {
+    std::lock_guard<std::mutex> lock(shards[i]->mu);
+    merged.MergeFrom(shards[i]->monitor);
   }
-  return merged.SnapshotReport();
+  return merged;
 }
 
-std::vector<stats::QuantileSketch> RepairService::SketchSnapshot() const {
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
+/// Merges a snapshot's channel sketches; empty when sketching is off.
+/// Identical bucket geometry by construction, so Merge cannot fail.
+template <typename Shards>
+std::vector<stats::QuantileSketch> MergeSketches(const Shards& shards) {
   std::vector<stats::QuantileSketch> merged;
-  for (const auto& shard : snap->drift_shards) {
+  for (const auto& shard : shards) {
     std::lock_guard<std::mutex> lock(shard->mu);
     if (shard->sketches.empty()) continue;
     if (merged.empty()) {
-      merged = shard->sketches;  // copy under the shard lock
+      merged = shard->sketches;
       continue;
     }
-    // Identical bucket geometry by construction; Merge cannot fail.
     for (size_t c = 0; c < merged.size(); ++c) {
       Status merge_status = merged[c].Merge(shard->sketches[c]);
       (void)merge_status;
@@ -423,8 +371,18 @@ std::vector<stats::QuantileSketch> RepairService::SketchSnapshot() const {
   return merged;
 }
 
+}  // namespace
+
+core::DriftReport RepairService::DriftSnapshot() const {
+  return MergeDrift(CurrentSnapshot()->drift_shards).SnapshotReport();
+}
+
+std::vector<stats::QuantileSketch> RepairService::SketchSnapshot() const {
+  return MergeSketches(CurrentSnapshot()->drift_shards);
+}
+
 void RepairService::ResetSketches() {
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
+  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
   for (const auto& shard : snap->drift_shards) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (stats::QuantileSketch& sketch : shard->sketches) sketch.Reset();
@@ -434,38 +392,19 @@ void RepairService::ResetSketches() {
 RepairService::CheckpointState RepairService::StateForCheckpoint() const {
   // ONE snapshot acquisition: plan, version, and observed state all
   // describe the same serving snapshot, even mid-reload.
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
+  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
   CheckpointState state;
   state.plan_version = snap->version;
   state.degraded = degraded();
   state.plans = snap->repairer.plans();
-  state.drift = [&] {
-    std::lock_guard<std::mutex> lock(snap->drift_shards[0]->mu);
-    return snap->drift_shards[0]->monitor;  // copy under the shard lock
-  }();
-  for (size_t i = 1; i < snap->drift_shards.size(); ++i) {
-    std::lock_guard<std::mutex> lock(snap->drift_shards[i]->mu);
-    // Same plan set by construction; merge cannot fail.
-    state.drift->MergeFrom(snap->drift_shards[i]->monitor);
-  }
-  for (const auto& shard : snap->drift_shards) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (shard->sketches.empty()) continue;
-    if (state.sketches.empty()) {
-      state.sketches = shard->sketches;  // copy under the shard lock
-      continue;
-    }
-    for (size_t c = 0; c < state.sketches.size(); ++c) {
-      Status merge_status = state.sketches[c].Merge(shard->sketches[c]);
-      (void)merge_status;
-    }
-  }
+  state.drift = MergeDrift(snap->drift_shards);
+  state.sketches = MergeSketches(snap->drift_shards);
   return state;
 }
 
 Status RepairService::RestoreObservedState(const std::string& drift_counts,
                                            const std::vector<stats::QuantileSketch>& sketches) {
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
+  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
   Snapshot::DriftShard& shard = *snap->drift_shards[0];
   std::lock_guard<std::mutex> lock(shard.mu);
   if (!drift_counts.empty()) {

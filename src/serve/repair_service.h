@@ -38,6 +38,9 @@ struct RowRequest {
   int s = 0;
   /// Full feature row, length dim(), in feature (k) order.
   std::vector<double> features;
+  /// Which stream (a TCP connection) sent the row. Copied to the response
+  /// so a front end can route the answer back; never affects the repair.
+  uint64_t stream_id = 0;
 };
 
 /// The repaired row, tagged with the request identity. `status` is OK for
@@ -48,6 +51,8 @@ struct RowResponse {
   uint64_t row_index = 0;
   std::vector<double> repaired;
   common::Status status;
+  /// The request's stream_id.
+  uint64_t stream_id = 0;
 };
 
 /// Drift-based health verdict of the live plan snapshot.
@@ -118,16 +123,17 @@ struct ServiceOptions {
 /// A long-lived, thread-safe repair server over a `RepairPlanSet`.
 ///
 /// The plan, its O(1) sampling tables, and the drift accumulator live in
-/// one immutable-by-readers snapshot held through
-/// `std::atomic<std::shared_ptr>`:
+/// one immutable-by-readers snapshot held through a `std::shared_ptr`:
 ///
-///  - The read path (`RepairRow` / `RepairBatch`) takes no lock — it
-///    atomically acquires the current snapshot, repairs against it, and
-///    drops the reference. Any number of threads repair concurrently.
+///  - The read path (`RepairRow` / `RepairBatch`) copies the current
+///    snapshot pointer under a short mutex (once per batch), repairs
+///    against it without any lock, and drops the reference. Any number of
+///    threads repair concurrently.
 ///  - `ReloadPlan` builds a complete replacement snapshot off to the side
-///    (plan validation + alias tables) and swaps it in with one atomic
-///    store. In-flight requests finish on the snapshot they acquired; no
-///    request is ever dropped, blocked, or torn by a reload.
+///    (plan validation + alias tables) and swaps the pointer in under the
+///    same mutex. In-flight requests finish on the snapshot they acquired;
+///    no request is ever dropped or torn by a reload, and the swap never
+///    waits on a snapshot build.
 ///
 /// Determinism: repair randomness derives only from
 /// `(seed, session_id, row_index)` — never from service state, thread
@@ -156,7 +162,7 @@ class RepairService {
   /// clients can construct the equivalent offline repairer.
   uint64_t SessionSeed(uint64_t session_id) const;
 
-  /// Repairs one row. Lock-free on the plan path; thread-safe.
+  /// Repairs one row (a batch of one). Thread-safe.
   common::Status RepairRow(const RowRequest& request, RowResponse* response);
 
   /// Repairs a batch of rows, fanning out over `options.threads` lanes on
@@ -225,8 +231,8 @@ class RepairService {
   /// redesigned plan. No-op when sketching is disabled.
   void ResetSketches();
 
-  /// Everything the checkpointer persists, captured from ONE atomic
-  /// snapshot acquisition so the plan, its version, and the observed
+  /// Everything the checkpointer persists, captured from ONE snapshot
+  /// acquisition so the plan, its version, and the observed
   /// drift/sketch state are mutually coherent even when a reload lands
   /// concurrently (the pieces all describe the same snapshot — a reload
   /// concurrent with the capture is either entirely before or entirely
@@ -286,22 +292,20 @@ class RepairService {
       core::RepairPlanSet plans, const ServiceOptions& options, uint64_t version);
 
   /// Checks feature count and label ranges, stamping the response's
-  /// identity and (on failure) its error status. Shared by the single-row
-  /// path and RepairBatch's grouping pass.
+  /// identity and (on failure) its error status.
   bool ValidateRequest(const RowRequest& request, RowResponse* response) const;
-
-  /// The shared inner row repair; returns false on validation failure.
-  /// Drift observation is the caller's job (per-row for RepairRow, one
-  /// amortized shard pass per batch for RepairBatch).
-  bool RepairRowOnSnapshot(const Snapshot& snap, const RowRequest& request,
-                           RowResponse* response) const;
 
   size_t dim_ = 0;
   size_t s_levels_ = 2;
   size_t u_levels_ = 2;
   ServiceOptions options_;
+  /// The one accessor of `snapshot_`.
+  std::shared_ptr<Snapshot> CurrentSnapshot() const;
+
   Metrics metrics_;
-  std::atomic<std::shared_ptr<Snapshot>> snapshot_;
+  /// Guards the `snapshot_` pointer (not the snapshot it points to).
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<Snapshot> snapshot_;
   /// Rotates batches across drift shards (see RepairBatch).
   std::atomic<uint64_t> batch_counter_{0};
   /// Serializes reloads (readers never touch it).

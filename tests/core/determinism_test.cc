@@ -333,43 +333,53 @@ TEST(SparseDenseParityTest, RepairBitIdenticalUnderDenseRoundtrippedPlans) {
   ExpectDatasetsIdentical(*repaired_a, *repaired_b);
 }
 
-// PR 6 regression: repair output is a pure function of (plans, seed,
-// dataset) across every execution configuration the SIMD pass touched —
-// scalar vs vector dispatch, SoA batch vs row-by-row, serial vs
-// multi-threaded. Only table lookups and reductions were vectorized,
-// never the RNG streams, so all 2x2x2 combinations must agree bit-exactly.
+// Repair output is a pure function of (plans, seed, dataset) across every
+// execution configuration the SIMD pass touched: scalar vs vector
+// dispatch, serial vs multi-threaded. Only table lookups and reductions
+// were vectorized, never the RNG streams, so every configuration of the
+// batch path must equal the scalar primitive replayed row by row.
 TEST(DeterminismTest, RepairBitIdenticalAcrossSimdSoaAndThreadConfigs) {
   Fixture fx = MakeFixture(29, 500, 1200);
   DesignOptions design;
   design.n_q = 48;
   auto plans = DesignDistributionalRepair(fx.research, design);
   ASSERT_TRUE(plans.ok());
+  constexpr uint64_t kSeed = 6161;
 
   const bool was_forced = common::simd::ForcedScalar();
-  auto repair_once = [&](bool force_scalar, bool soa, int threads) {
-    common::simd::SetForceScalar(force_scalar);
-    RepairOptions options;
-    options.seed = 6161;
-    options.threads = threads;
-    options.soa_batch = soa;
-    auto repairer = OffSampleRepairer::Create(*plans, options);
-    EXPECT_TRUE(repairer.ok());
-    auto repaired = repairer->RepairDataset(fx.archive);
-    EXPECT_TRUE(repaired.ok());
-    common::simd::SetForceScalar(was_forced);
-    return std::move(*repaired);
-  };
+  // Reference: RepairValueAt per row under Rng::ForStream(seed, i), with
+  // the scalar kernels.
+  common::simd::SetForceScalar(true);
+  RepairOptions reference_options;
+  reference_options.seed = kSeed;
+  auto reference_repairer = OffSampleRepairer::Create(*plans, reference_options);
+  ASSERT_TRUE(reference_repairer.ok());
+  data::Dataset reference = fx.archive.Clone();
+  RepairStats stats;
+  for (size_t i = 0; i < fx.archive.size(); ++i) {
+    common::Rng rng = common::Rng::ForStream(kSeed, i);
+    for (size_t k = 0; k < fx.archive.dim(); ++k)
+      reference.set_feature(
+          i, k,
+          reference_repairer->RepairValueAt(fx.archive.u(i), fx.archive.s(i), k,
+                                            fx.archive.feature(i, k), rng, stats));
+  }
+  common::simd::SetForceScalar(was_forced);
 
-  const data::Dataset reference = repair_once(/*force_scalar=*/true, /*soa=*/false,
-                                              /*threads=*/1);
   for (bool force_scalar : {true, false}) {
-    for (bool soa : {false, true}) {
-      for (int threads : {1, 3, 8}) {
-        const data::Dataset repaired = repair_once(force_scalar, soa, threads);
-        SCOPED_TRACE("scalar=" + std::to_string(force_scalar) + " soa=" +
-                     std::to_string(soa) + " threads=" + std::to_string(threads));
-        ExpectDatasetsIdentical(reference, repaired);
-      }
+    for (int threads : {1, 3, 8}) {
+      common::simd::SetForceScalar(force_scalar);
+      RepairOptions options;
+      options.seed = kSeed;
+      options.threads = threads;
+      auto repairer = OffSampleRepairer::Create(*plans, options);
+      ASSERT_TRUE(repairer.ok());
+      auto repaired = repairer->RepairDataset(fx.archive);
+      common::simd::SetForceScalar(was_forced);
+      ASSERT_TRUE(repaired.ok());
+      SCOPED_TRACE("scalar=" + std::to_string(force_scalar) +
+                   " threads=" + std::to_string(threads));
+      ExpectDatasetsIdentical(reference, *repaired);
     }
   }
 }

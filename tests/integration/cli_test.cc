@@ -2,12 +2,15 @@
 // repair -> drift over real files, via std::system. The binary path is
 // injected by CMake (OTFAIR_CLI_PATH).
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -391,11 +394,122 @@ TEST_F(CliTest, ServeStdioProtocolRoundTrip) {
   std::fclose(f);
   int exit_code = -1;
   const std::string output = RunCapture(
-      "serve --plan=" + plan_path_ + " --max_wait_us=100 < " + input_path, &exit_code);
+      "serve --plan=" + plan_path_ + " < " + input_path, &exit_code);
   EXPECT_EQ(exit_code, 0);
   EXPECT_NE(output.find("ok 0 0 "), std::string::npos) << output;
   EXPECT_NE(output.find("\"plan_version\":1"), std::string::npos) << output;
   EXPECT_NE(output.find("err - - INVALID_ARGUMENT"), std::string::npos) << output;
+}
+
+/// Runs `otfair <args>` with pipes on its stdin and stdout (stderr
+/// discarded). Returns the child's pid, or -1.
+pid_t SpawnWithPipes(const std::string& args, int* to_child, int* from_child) {
+  int in[2];
+  int out[2];
+  if (::pipe(in) != 0) return -1;
+  if (::pipe(out) != 0) return -1;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::dup2(in[0], STDIN_FILENO);
+    ::dup2(out[1], STDOUT_FILENO);
+    ::close(in[0]);
+    ::close(in[1]);
+    ::close(out[0]);
+    ::close(out[1]);
+    const std::string command = "exec " + std::string(OTFAIR_CLI_PATH) + " " + args +
+                                " 2> /dev/null";
+    ::execl("/bin/sh", "sh", "-c", command.c_str(), static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ::close(in[0]);
+  ::close(out[1]);
+  *to_child = in[1];
+  *from_child = out[0];
+  return pid;
+}
+
+/// Reads one '\n'-terminated line from `fd`, waiting at most `timeout_ms`
+/// in total. False on timeout or EOF.
+bool ReadLineWithin(int fd, int timeout_ms, std::string* line) {
+  line->clear();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  char c;
+  while (true) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) return false;
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, static_cast<int>(left)) <= 0) continue;
+    if (::read(fd, &c, 1) != 1) return false;
+    if (c == '\n') return true;
+    *line += c;
+  }
+}
+
+TEST_F(CliTest, ServeStdioAnswersARowWhileStdinStaysOpen) {
+  ASSERT_EQ(Run("design --research=" + research_path_ + " --plan=" + plan_path_ +
+                " --n_q=40"),
+            0);
+  int to_child = -1;
+  int from_child = -1;
+  const pid_t pid = SpawnWithPipes("serve --plan=" + plan_path_, &to_child, &from_child);
+  ASSERT_GT(pid, 0);
+  // A partial batch is answered after the read that carried it, not when
+  // the batch fills or stdin closes.
+  const std::string request = "repair 0 0 0 1 0.5 -0.5\n";
+  ASSERT_EQ(::write(to_child, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  std::string line;
+  EXPECT_TRUE(ReadLineWithin(from_child, 10000, &line));
+  EXPECT_EQ(line.rfind("ok 0 0 ", 0), 0u) << line;
+  ::close(to_child);  // EOF drains and exits 0
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  ::close(from_child);
+}
+
+TEST_F(CliTest, ServeStdioOversizedLineEndsTheStream) {
+  ASSERT_EQ(Run("design --research=" + research_path_ + " --plan=" + plan_path_ +
+                " --n_q=40"),
+            0);
+  const std::string input_path = dir_ + "/serve_oversize.txt";
+  std::FILE* f = std::fopen(input_path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs(("repair " + std::string(70000, '1') + "\nhealth\n").c_str(), f);
+  std::fclose(f);
+  int exit_code = -1;
+  const std::string output =
+      RunCapture("serve --plan=" + plan_path_ + " < " + input_path, &exit_code);
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_EQ(output.rfind("err - - INVALID_ARGUMENT", 0), 0u) << output;
+  EXPECT_NE(output.find("exceeds"), std::string::npos) << output;
+  // The stream ended at the oversized line: health is never answered.
+  EXPECT_EQ(std::count(output.begin(), output.end(), '\n'), 1) << output;
+}
+
+TEST_F(CliTest, ServeStdioGarbageEndsTheStream) {
+  ASSERT_EQ(Run("design --research=" + research_path_ + " --plan=" + plan_path_ +
+                " --n_q=40"),
+            0);
+  const std::string input_path = dir_ + "/serve_garbage.txt";
+  std::FILE* f = std::fopen(input_path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("health\nfrobnicate 1 2\nhealth\nrepair 0 0 0 1 0.5 -0.5\n", f);
+  std::fclose(f);
+  int exit_code = -1;
+  const std::string output =
+      RunCapture("serve --plan=" + plan_path_ + " < " + input_path, &exit_code);
+  EXPECT_EQ(exit_code, 0);
+  // One health JSON line and the error line; nothing after the unknown
+  // verb is answered.
+  EXPECT_EQ(output.front(), '{') << output;
+  EXPECT_NE(output.find("\nerr - - INVALID_ARGUMENT"), std::string::npos) << output;
+  EXPECT_EQ(std::count(output.begin(), output.end(), '\n'), 2) << output;
+  EXPECT_EQ(output.find("ok "), std::string::npos) << output;
 }
 
 TEST_F(CliTest, ServeListenAndReplayAreMutuallyExclusive) {
@@ -443,7 +557,7 @@ TEST_F(CliTest, ServeTcpMatchesStdioServeByteForByte) {
   std::fclose(f);
   int exit_code = -1;
   const std::string stdio_output = RunCapture(
-      "serve --plan=" + plan_path_ + " --max_wait_us=100 < " + input_path, &exit_code);
+      "serve --plan=" + plan_path_ + " < " + input_path, &exit_code);
   EXPECT_EQ(exit_code, 0);
   const std::vector<std::string> stdio_lines = OkLines(stdio_output);
   ASSERT_EQ(stdio_lines.size(), requests.size());

@@ -20,6 +20,7 @@
 #include <sys/time.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -461,6 +462,74 @@ TEST(NetServerTest, ConcurrentClientsMatchOfflineSingleWorker) {
 
 TEST(NetServerTest, ConcurrentClientsMatchOfflineThreeWorkersUnderReloadStorm) {
   RunTcpReplay(/*net_threads=*/3, /*reload_storm=*/true);
+}
+
+// Routing: two connections sharing one session id each get exactly their
+// own rows back. A response routed by session alone would reach whichever
+// connection last sent that session.
+TEST(NetServerTest, SharedSessionAcrossConnectionsRoutesEachRowToItsSender) {
+  // A checkpoint hook that holds the worker until released: while it is
+  // held, both clients send a round, so the next epoll cycle reads both
+  // connections and their rows share one micro-batch.
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  ServerHooks hooks;
+  hooks.checkpoint = [&]() -> common::Result<uint64_t> {
+    held.store(true);
+    while (!release.load()) std::this_thread::sleep_for(std::chrono::microseconds(100));
+    return static_cast<uint64_t>(1);
+  };
+  ServerOptions options;
+  options.net_threads = 1;  // every connection on one worker and batcher
+  NetFixture nf = MakeServer(32, options, std::move(hooks));
+  constexpr uint64_t kSession = 7;
+  constexpr size_t kRounds = 10;
+  const size_t rows = nf.fx.archive.size();
+  const size_t rows_per_round = rows / kRounds;
+  const data::Dataset offline = OfflineRepair(nf.fx, *nf.service, kSession);
+
+  Client control(nf.server->port());
+  // Client c sends the rows with row % 2 == c.
+  std::array<Client, 2> clients = {Client(nf.server->port()), Client(nf.server->port())};
+  ASSERT_TRUE(control.connected() && clients[0].connected() && clients[1].connected());
+  std::string line;
+  for (size_t round = 0; round < kRounds; ++round) {
+    held.store(false);
+    release.store(false);
+    ASSERT_TRUE(control.SendAll("checkpoint\n"));
+    while (!held.load()) std::this_thread::sleep_for(std::chrono::microseconds(100));
+    for (size_t c = 0; c < 2; ++c) {
+      std::string payload;
+      for (size_t row = round * rows_per_round + c; row < (round + 1) * rows_per_round;
+           row += 2)
+        payload += RepairLine(nf.fx.archive, kSession, row) + "\n";
+      ASSERT_TRUE(clients[c].SendAll(payload));
+    }
+    release.store(true);
+    ASSERT_TRUE(control.ReadLine(&line));
+    ASSERT_EQ(line, "ok checkpoint 1");
+  }
+  for (Client& client : clients) client.FinishSending();
+
+  for (size_t c = 0; c < 2; ++c) {
+    SCOPED_TRACE("client " + std::to_string(c));
+    std::vector<int> answered(rows, 0);
+    size_t foreign = 0;
+    while (clients[c].ReadLine(&line)) {
+      unsigned long long session = 0;
+      unsigned long long row = 0;
+      ASSERT_EQ(std::sscanf(line.c_str(), "ok %llu %llu", &session, &row), 2) << line;
+      ASSERT_EQ(session, kSession);
+      ASSERT_LT(row, rows);
+      EXPECT_EQ(line, ExpectedLine(offline, kSession, row));
+      if (row % 2 != c) ++foreign;
+      ++answered[row];
+    }
+    EXPECT_EQ(foreign, 0u) << "rows sent by the other connection were answered here";
+    for (size_t row = c; row < rows; row += 2)
+      EXPECT_EQ(answered[row], 1) << "row " << row << " answered " << answered[row]
+                                  << " times";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,6 @@
 #include "serve/batcher.h"
 
-#include <atomic>
-#include <chrono>
-#include <mutex>
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -40,21 +36,18 @@ RowRequest MakeRequest(uint64_t session, uint64_t row) {
   return request;
 }
 
-/// Thread-safe sink collecting every delivered (session, row) exactly once.
+/// Sink collecting every delivered (session, row), counting duplicates.
 struct CollectingSink {
-  std::mutex mu;
   std::set<std::pair<uint64_t, uint64_t>> seen;
-  std::atomic<uint64_t> responses{0};
-  std::atomic<uint64_t> failures{0};
-  std::atomic<uint64_t> duplicates{0};
+  uint64_t responses = 0;
+  uint64_t failures = 0;
+  uint64_t duplicates = 0;
 
   Batcher::Sink AsSink() {
     return [this](const RowResponse& response) {
-      responses.fetch_add(1);
-      if (!response.status.ok()) failures.fetch_add(1);
-      std::lock_guard<std::mutex> lock(mu);
-      if (!seen.insert({response.session_id, response.row_index}).second)
-        duplicates.fetch_add(1);
+      ++responses;
+      if (!response.status.ok()) ++failures;
+      if (!seen.insert({response.session_id, response.row_index}).second) ++duplicates;
     };
   }
 };
@@ -64,14 +57,13 @@ TEST(BatcherTest, CoalescesSingleRowsIntoBatches) {
   CollectingSink sink;
   BatcherOptions options;
   options.max_batch = 64;
-  options.background_flush = false;  // deterministic batch boundaries
   Batcher batcher(service.get(), options, sink.AsSink());
   for (uint64_t i = 0; i < 1000; ++i)
     ASSERT_TRUE(batcher.Submit(MakeRequest(0, i)).ok());
   batcher.Flush();
-  EXPECT_EQ(sink.responses.load(), 1000u);
-  EXPECT_EQ(sink.failures.load(), 0u);
-  EXPECT_EQ(sink.duplicates.load(), 0u);
+  EXPECT_EQ(sink.responses, 1000u);
+  EXPECT_EQ(sink.failures, 0u);
+  EXPECT_EQ(sink.duplicates, 0u);
   const MetricsSnapshot metrics = service->metrics().Snapshot();
   EXPECT_EQ(metrics.rows_repaired, 1000u);
   // 1000 rows at max_batch 64: 15 full caller-run batches + the flush
@@ -86,7 +78,6 @@ TEST(BatcherTest, BackpressureRejectsWhenQueueFull) {
   BatcherOptions options;
   options.max_batch = 128;  // never fills from 4 rows -> queue backs up
   options.max_queue_depth = 4;
-  options.background_flush = false;
   Batcher batcher(service.get(), options, sink.AsSink());
   for (uint64_t i = 0; i < 4; ++i)
     ASSERT_TRUE(batcher.Submit(MakeRequest(0, i)).ok());
@@ -99,8 +90,8 @@ TEST(BatcherTest, BackpressureRejectsWhenQueueFull) {
   batcher.Flush();
   EXPECT_TRUE(batcher.Submit(std::move(rejected)).ok());
   batcher.Flush();
-  EXPECT_EQ(sink.failures.load(), 0u);
-  EXPECT_EQ(sink.responses.load(), 5u);
+  EXPECT_EQ(sink.failures, 0u);
+  EXPECT_EQ(sink.responses, 5u);
 }
 
 TEST(BatcherTest, ZeroOptionsAreNormalized) {
@@ -108,27 +99,31 @@ TEST(BatcherTest, ZeroOptionsAreNormalized) {
   BatcherOptions options;
   options.max_batch = 0;
   options.max_queue_depth = 0;
-  options.max_wait_us = -5;
   Batcher batcher(service.get(), options, nullptr);
   EXPECT_EQ(batcher.options().max_batch, 1u);
   EXPECT_EQ(batcher.options().max_queue_depth, 1u);
-  EXPECT_EQ(batcher.options().max_wait_us, 0);
 }
 
-TEST(BatcherTest, BackgroundFlusherDeliversPartialBatches) {
+TEST(BatcherTest, BackgroundFlushIsRejected) {
   auto service = MakeService(4);
-  CollectingSink sink;
   BatcherOptions options;
-  options.max_batch = 1024;  // never fills on its own
-  options.max_wait_us = 2000;
   options.background_flush = true;
-  Batcher batcher(service.get(), options, sink.AsSink());
-  for (uint64_t i = 0; i < 3; ++i) ASSERT_TRUE(batcher.Submit(MakeRequest(0, i)).ok());
-  // No Flush() call: the flusher must deliver within ~max_wait_us.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (sink.responses.load() < 3 && std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_EQ(sink.responses.load(), 3u);
+  EXPECT_DEATH(Batcher(service.get(), options, nullptr), "background_flush");
+}
+
+TEST(BatcherTest, StreamIdTravelsToTheResponse) {
+  auto service = MakeService(6);
+  std::vector<uint64_t> streams;
+  Batcher batcher(service.get(), {}, [&](const RowResponse& response) {
+    streams.push_back(response.stream_id);
+  });
+  for (uint64_t i = 0; i < 3; ++i) {
+    RowRequest request = MakeRequest(0, i);
+    request.stream_id = 100 + i;
+    ASSERT_TRUE(batcher.Submit(std::move(request)).ok());
+  }
+  batcher.Flush();
+  EXPECT_EQ(streams, (std::vector<uint64_t>{100, 101, 102}));
 }
 
 TEST(BatcherTest, CloseDrainsEverythingAndRejectsAfter) {
@@ -136,59 +131,26 @@ TEST(BatcherTest, CloseDrainsEverythingAndRejectsAfter) {
   CollectingSink sink;
   BatcherOptions options;
   options.max_batch = 256;
-  options.background_flush = false;
   Batcher batcher(service.get(), options, sink.AsSink());
   for (uint64_t i = 0; i < 10; ++i) ASSERT_TRUE(batcher.Submit(MakeRequest(1, i)).ok());
   batcher.Close();
-  EXPECT_EQ(sink.responses.load(), 10u);
+  EXPECT_EQ(sink.responses, 10u);
   EXPECT_EQ(batcher.Submit(MakeRequest(1, 11)).code(), common::StatusCode::kUnavailable);
   batcher.Close();  // idempotent
-  EXPECT_EQ(sink.responses.load(), 10u);
-}
-
-TEST(BatcherTest, ConcurrentProducersEveryRowDeliveredOnce) {
-  auto service = MakeService(6);
-  CollectingSink sink;
-  BatcherOptions options;
-  options.max_batch = 32;
-  options.max_queue_depth = 64;
-  options.background_flush = true;
-  options.max_wait_us = 500;
-  Batcher batcher(service.get(), options, sink.AsSink());
-  constexpr uint64_t kSessions = 4;
-  constexpr uint64_t kRows = 500;
-  std::vector<std::thread> producers;
-  for (uint64_t session = 0; session < kSessions; ++session) {
-    producers.emplace_back([&, session] {
-      for (uint64_t i = 0; i < kRows; ++i) {
-        RowRequest request = MakeRequest(session, i);
-        while (true) {
-          if (batcher.Submit(std::move(request)).ok()) break;
-          batcher.Flush();  // backpressure: help drain, then retry
-        }
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  batcher.Close();
-  EXPECT_EQ(sink.responses.load(), kSessions * kRows);
-  EXPECT_EQ(sink.duplicates.load(), 0u);
-  EXPECT_EQ(sink.failures.load(), 0u);
-  EXPECT_EQ(sink.seen.size(), kSessions * kRows);
+  EXPECT_EQ(sink.responses, 10u);
 }
 
 TEST(BatcherTest, InvalidRowsComeBackWithErrorStatus) {
   auto service = MakeService(7);
   CollectingSink sink;
   BatcherOptions options;
-  options.background_flush = false;
   Batcher batcher(service.get(), options, sink.AsSink());
   RowRequest bad = MakeRequest(0, 0);
   bad.features.push_back(1.0);  // wrong dimensionality
   ASSERT_TRUE(batcher.Submit(std::move(bad)).ok());  // accepted: failure is per-row
   batcher.Flush();
-  EXPECT_EQ(sink.responses.load(), 1u);
-  EXPECT_EQ(sink.failures.load(), 1u);
+  EXPECT_EQ(sink.responses, 1u);
+  EXPECT_EQ(sink.failures, 1u);
   EXPECT_EQ(service->metrics().Snapshot().rows_invalid, 1u);
 }
 

@@ -118,10 +118,10 @@ TEST(RepairServiceTest, RepairBatchMatchesSingleRows) {
 }
 
 /// The full determinism gauntlet: kSessions threads replay the archive in
-/// per-session shuffled orders through a shared Batcher while the main
-/// thread hot-swaps an identical plan several times mid-stream. Every
-/// session's collected output must equal its offline batch repair
-/// bit-for-bit, for every service thread count.
+/// per-session shuffled orders, each through its own Batcher over the
+/// shared service, while the main thread hot-swaps an identical plan
+/// several times mid-stream. Every session's collected output must equal
+/// its offline batch repair bit-for-bit, for every service thread count.
 void RunConcurrentReplay(int service_threads, bool reload_mid_stream) {
   Fixture fx = MakeFixture(4);
   ServiceOptions service_options;
@@ -132,26 +132,23 @@ void RunConcurrentReplay(int service_threads, bool reload_mid_stream) {
   const size_t rows = fx.archive.size();
   const size_t dim = fx.archive.dim();
 
-  // Responses land here keyed by (session, row); the sink is concurrent.
+  // Responses land here keyed by (session, row); sessions write disjoint
+  // slots from their own threads.
   std::vector<std::vector<double>> collected(kSessions * rows);
   std::vector<std::atomic<int>> delivered(kSessions * rows);
   std::atomic<uint64_t> failures{0};
   BatcherOptions batcher_options;
   batcher_options.max_batch = 64;
   batcher_options.max_queue_depth = 256;
-  batcher_options.background_flush = true;
-  batcher_options.max_wait_us = 200;
-  Batcher batcher(service->get(), batcher_options,
-                  [&](const RowResponse& response) {
-                    if (!response.status.ok()) {
-                      failures.fetch_add(1);
-                      return;
-                    }
-                    const size_t slot =
-                        response.session_id * rows + response.row_index;
-                    collected[slot] = response.repaired;
-                    delivered[slot].fetch_add(1);
-                  });
+  auto sink = [&](const RowResponse& response) {
+    if (!response.status.ok()) {
+      failures.fetch_add(1);
+      return;
+    }
+    const size_t slot = response.session_id * rows + response.row_index;
+    collected[slot] = response.repaired;
+    delivered[slot].fetch_add(1);
+  };
 
   std::atomic<bool> done{false};
   std::thread reloader;
@@ -172,17 +169,15 @@ void RunConcurrentReplay(int service_threads, bool reload_mid_stream) {
       // not depend on submission order.
       common::Rng order_rng(900 + session);
       const std::vector<size_t> order = order_rng.Permutation(rows);
+      Batcher batcher(service->get(), batcher_options, sink);
       for (const size_t row : order) {
         RowRequest request = ArchiveRequest(fx.archive, session, row);
-        while (true) {
-          if (batcher.Submit(std::move(request)).ok()) break;
-          batcher.Flush();  // backpressure: help drain, retry
-        }
+        while (!batcher.Submit(std::move(request)).ok()) batcher.Flush();
       }
+      batcher.Close();
     });
   }
   for (auto& t : sessions) t.join();
-  batcher.Close();
   done.store(true);
   if (reloader.joinable()) reloader.join();
 

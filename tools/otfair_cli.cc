@@ -24,12 +24,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -60,6 +61,7 @@
 #include "serve/protocol.h"
 #include "serve/redesigner.h"
 #include "serve/repair_service.h"
+#include "serve/session.h"
 #include "sim/gaussian_mixture.h"
 
 namespace {
@@ -81,7 +83,7 @@ volatile std::sig_atomic_t g_drain_signal = 0;
 void HandleDrainSignal(int sig) { g_drain_signal = sig; }
 
 /// Installs the drain handlers WITHOUT SA_RESTART: the stdio loop blocks
-/// in getline(), which must come back with EINTR for the drain to start
+/// in read(), which must come back with EINTR for the drain to start
 /// promptly instead of waiting for the next input line.
 void InstallDrainHandlers() {
   struct sigaction action;
@@ -154,21 +156,23 @@ void PrintRepairUsage(std::FILE* out) {
 void PrintServeUsage(std::FILE* out) {
   std::fprintf(out,
                "usage: otfair serve --plan=P.bin [flags]\n"
-               "  Long-lived repair server. Default mode speaks a newline protocol on\n"
-               "  stdin/stdout:\n"
+               "  Long-lived repair server. It speaks one newline protocol, on\n"
+               "  stdin/stdout by default or per TCP connection with --listen:\n"
                "    repair <session> <row> <u> <s> <x_1..x_d>   -> ok <session> <row> <y...>\n"
                "    metrics | health                            -> one-line JSON\n"
                "    metrics --prom     -> Prometheus text exposition (\"# EOF\"-terminated)\n"
                "    reload <plan_path>                          -> ok reload <version>\n"
                "    checkpoint                                  -> ok checkpoint <generation>\n"
                "    quit\n"
+               "  Responses to the rows of one read are written after that read. A\n"
+               "  line over 64 KiB or one that is not a verb gets an error line and\n"
+               "  ends the stream; bad arguments to a verb get an error line only.\n"
                "  Flags:\n"
                "    --seed=N           base repair seed (session 0 = offline batch seed)\n"
                "    --mode=stochastic|mean\n"
                "    --strength=1.0     partial-repair strength\n"
                "    --threads=N        repair lanes per batch\n"
                "    --max_batch=256    rows coalesced per micro-batch\n"
-               "    --max_wait_us=1000 partial-batch flush deadline\n"
                "    --queue_depth=4096 pending-row bound (backpressure above)\n"
                "    --drift_shards=8   drift accumulator shards\n"
                "    --w1_threshold=0.10 --oor_threshold=0.05  drift thresholds\n"
@@ -182,7 +186,8 @@ void PrintServeUsage(std::FILE* out) {
                "    --net-threads=N    epoll worker threads; each owns a SO_REUSEPORT\n"
                "                       listener and a micro-batcher, and a connection\n"
                "                       lives its whole life on the worker that\n"
-               "                       accepted it (session affinity)\n"
+               "                       accepted it; responses go to the connection\n"
+               "                       that sent the row\n"
                "    --max-conns=4096   connection cap (excess accepts are answered\n"
                "                       with one UNAVAILABLE error line and closed)\n"
                "    --port-file=F      write the bound port to F (for scripts/CI)\n"
@@ -530,19 +535,44 @@ otfair::serve::RedesignerOptions ServeRedesignerOptions(const FlagParser& flags)
 }
 
 otfair::common::Result<otfair::serve::BatcherOptions> ServeBatcherOptions(
-    const FlagParser& flags, bool background_flush) {
+    const FlagParser& flags) {
   otfair::serve::BatcherOptions options;
   const int max_batch = flags.GetInt("max_batch", 256);
   const int queue_depth = flags.GetInt("queue_depth", 4096);
-  const int max_wait_us = flags.GetInt("max_wait_us", 1000);
-  if (max_batch < 1 || queue_depth < 1 || max_wait_us < 0)
-    return Status::InvalidArgument(
-        "--max_batch/--queue_depth must be >= 1 and --max_wait_us >= 0");
+  if (max_batch < 1 || queue_depth < 1)
+    return Status::InvalidArgument("--max_batch/--queue_depth must be >= 1");
   options.max_batch = static_cast<size_t>(max_batch);
   options.max_queue_depth = static_cast<size_t>(queue_depth);
-  options.max_wait_us = max_wait_us;
-  options.background_flush = background_flush;
   return options;
+}
+
+/// The `checkpoint` verb's hook, shared by stdio and TCP serve: write now
+/// and report the generation. Empty (the verb answers
+/// FAILED_PRECONDITION) without a checkpointer.
+std::function<otfair::common::Result<uint64_t>()> CheckpointHook(
+    otfair::serve::Checkpointer* checkpointer) {
+  if (checkpointer == nullptr) return {};
+  return [checkpointer]() -> otfair::common::Result<uint64_t> {
+    if (Status status = checkpointer->WriteNow(); !status.ok()) return status;
+    return checkpointer->generation();
+  };
+}
+
+/// The end of every serve mode: a final checkpoint, so the next --recover
+/// resumes from the last row served rather than the last background tick,
+/// and a note when a drain signal asked for the stop.
+void FinishServe(otfair::serve::Checkpointer* checkpointer) {
+  if (checkpointer != nullptr) {
+    if (Status status = checkpointer->WriteNow(); !status.ok())
+      std::fprintf(stderr, "warning: final checkpoint failed: %s\n",
+                   status.ToString().c_str());
+  }
+  if (g_drain_signal != 0)
+    std::fprintf(stderr, "drained on signal %d (final checkpoint generation %llu)\n",
+                 static_cast<int>(g_drain_signal),
+                 checkpointer != nullptr
+                     ? static_cast<unsigned long long>(checkpointer->generation())
+                     : 0ULL);
 }
 
 /// Self-driving load mode: N concurrent sessions replay an archive CSV
@@ -556,19 +586,19 @@ int RunServeReplay(otfair::serve::RepairService& service,
   std::atomic<uint64_t> submitted{0};
   std::atomic<uint64_t> responses{0};
   std::atomic<uint64_t> failures{0};
-  otfair::serve::Batcher batcher(
-      &service, batcher_options,
-      [&](const otfair::serve::RowResponse& response) {
-        responses.fetch_add(1, std::memory_order_relaxed);
-        if (!response.status.ok()) failures.fetch_add(1, std::memory_order_relaxed);
-      });
-
   const size_t dim = archive.dim();
   otfair::common::Timer timer;
   std::vector<std::thread> workers;
   workers.reserve(sessions);
   for (size_t session = 0; session < sessions; ++session) {
     workers.emplace_back([&, session] {
+      // Each session thread owns its batcher; the service is the shared,
+      // thread-safe object.
+      otfair::serve::Batcher batcher(
+          &service, batcher_options, [&](const otfair::serve::RowResponse& response) {
+            responses.fetch_add(1, std::memory_order_relaxed);
+            if (!response.status.ok()) failures.fetch_add(1, std::memory_order_relaxed);
+          });
       for (size_t i = 0; i < archive.size(); ++i) {
         // Drain: stop submitting; rows already accepted still complete.
         if (g_drain_signal != 0) break;
@@ -581,18 +611,13 @@ int RunServeReplay(otfair::serve::RepairService& service,
         request.features.assign(row, row + dim);
         // Backpressure: on a full queue the submitter drains a batch
         // itself and retries — replay never drops a row.
-        while (true) {
-          Status status = batcher.Submit(std::move(request));
-          if (status.ok()) break;
-          batcher.Flush();
-        }
+        while (!batcher.Submit(std::move(request)).ok()) batcher.Flush();
         submitted.fetch_add(1, std::memory_order_relaxed);
       }
+      batcher.Close();
     });
   }
   for (std::thread& worker : workers) worker.join();
-  batcher.Flush();
-  batcher.Close();
   const double seconds = timer.ElapsedSeconds();
   const bool drained = g_drain_signal != 0;
 
@@ -611,18 +636,12 @@ int RunServeReplay(otfair::serve::RepairService& service,
     }
   }
 
-  // A drain writes a final checkpoint so the next --recover resumes from
-  // the last row served, not the last background tick.
-  if (checkpointer != nullptr) {
-    if (Status status = checkpointer->WriteNow(); !status.ok())
-      std::fprintf(stderr, "warning: final checkpoint failed: %s\n",
-                   status.ToString().c_str());
-  }
+  FinishServe(checkpointer);
 
   // Under a drain only the rows actually accepted are owed responses.
   const uint64_t expected =
       drained ? submitted.load() : static_cast<uint64_t>(sessions) * archive.size();
-  const auto metrics = service.metrics().Snapshot(batcher.queue_depth());
+  const auto metrics = service.metrics().Snapshot();
   const auto health = service.Health();
   std::printf("%s\n%s\n", metrics.ToJson().c_str(), health.ToJson().c_str());
   std::fprintf(stderr,
@@ -651,113 +670,57 @@ int RunServeReplay(otfair::serve::RepairService& service,
   return health.drifted ? 3 : 0;
 }
 
-/// Interactive mode: the newline protocol on stdin/stdout. A SIGTERM/
-/// SIGINT interrupts getline (the handlers install without SA_RESTART) and
+/// Writes all of `session`'s pending output to `fd`; false when the
+/// stream is gone.
+bool WriteOutput(int fd, otfair::serve::Session& session) {
+  while (session.pending_output_size() > 0) {
+    const ssize_t n = ::write(fd, session.pending_output(), session.pending_output_size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    session.ConsumeOutput(static_cast<size_t>(n));
+  }
+  return true;
+}
+
+/// Interactive mode: one protocol session on stdin/stdout. Each blocking
+/// read is fed to the session, the batcher is flushed once, and the
+/// output is written — the policy of one TCP epoll cycle. A SIGTERM/
+/// SIGINT interrupts read (the handlers install without SA_RESTART) and
 /// drains: the loop exits, pending rows flush, and a final checkpoint is
-/// written before the clean exit-0 return.
+/// written before the clean exit-0 return. So do quit, end of input and a
+/// stream-closing protocol error.
 int RunServeStdio(otfair::serve::RepairService& service,
                   const otfair::serve::BatcherOptions& batcher_options,
                   otfair::serve::Checkpointer* checkpointer) {
-  std::mutex out_mu;
+  otfair::serve::SessionEnv env;
+  env.service = &service;
+  env.checkpoint = CheckpointHook(checkpointer);
+  otfair::serve::Session session(&env, /*stream_id=*/0);
   otfair::serve::Batcher batcher(
-      &service, batcher_options, [&](const otfair::serve::RowResponse& response) {
-        std::lock_guard<std::mutex> lock(out_mu);
-        std::fputs(otfair::serve::FormatRowResponse(response).c_str(), stdout);
-        std::fputc('\n', stdout);
-        std::fflush(stdout);
-      });
-  auto respond = [&](const std::string& line) {
-    std::lock_guard<std::mutex> lock(out_mu);
-    std::fputs(line.c_str(), stdout);
-    std::fputc('\n', stdout);
-    std::fflush(stdout);
-  };
+      &service, batcher_options,
+      [&session](const otfair::serve::RowResponse& response) { session.Deliver(response); });
+  env.batcher = &batcher;
 
-  char* line_buf = nullptr;
-  size_t line_cap = 0;
-  ssize_t line_len;
-  while (g_drain_signal == 0 &&
-         (line_len = ::getline(&line_buf, &line_cap, stdin)) >= 0) {
-    std::string line(line_buf, static_cast<size_t>(line_len));
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) line.pop_back();
-    if (line.empty()) continue;
-    auto request = otfair::serve::ParseRequestLine(line, service.dim(), service.u_levels(),
-                                                   service.s_levels());
-    if (!request.ok()) {
-      respond(otfair::serve::FormatErrorLine(request.status()));
-      continue;
+  char buf[16384];
+  while (g_drain_signal == 0 && !session.closed()) {
+    const ssize_t n = ::read(STDIN_FILENO, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      session.EndOfInput();
+    } else {
+      session.Feed(buf, static_cast<size_t>(n));
     }
-    using otfair::serve::RequestKind;
-    if (request->kind == RequestKind::kQuit) break;
-    switch (request->kind) {
-      case RequestKind::kRepair: {
-        const uint64_t session = request->row.session_id;
-        const uint64_t row = request->row.row_index;
-        if (Status status = batcher.Submit(std::move(request->row)); !status.ok())
-          respond(otfair::serve::FormatErrorLine(session, row, status));
-        break;
-      }
-      case RequestKind::kMetrics:
-        respond(service.metrics().Snapshot(batcher.queue_depth()).ToJson());
-        break;
-      case RequestKind::kMetricsProm: {
-        // The one multi-line response: the exposition text (every line
-        // newline-terminated by the renderer) plus a "# EOF" marker so a
-        // line-oriented client knows where the payload ends. respond()
-        // appends the marker's own newline.
-        std::string text = service.metrics().RenderPrometheus(batcher.queue_depth());
-        text += "# EOF";
-        respond(text);
-        break;
-      }
-      case RequestKind::kHealth:
-        respond(service.Health().ToJson());
-        break;
-      case RequestKind::kReload: {
-        if (Status status = service.ReloadPlanFromFile(request->plan_path); !status.ok()) {
-          respond(otfair::serve::FormatErrorLine(status));
-        } else {
-          respond("ok reload " + std::to_string(service.plan_version()));
-        }
-        break;
-      }
-      case RequestKind::kCheckpoint: {
-        if (checkpointer == nullptr) {
-          respond(otfair::serve::FormatErrorLine(Status::FailedPrecondition(
-              "checkpointing disabled (serve with --checkpoint_dir)")));
-          break;
-        }
-        // Drain in-flight micro-batches first so the acked checkpoint
-        // covers every row accepted before the verb — without the flush
-        // a partial batch could still be queued and its drift/sketch
-        // updates would miss the snapshot.
-        batcher.Flush();
-        if (Status status = checkpointer->WriteNow(); !status.ok()) {
-          respond(otfair::serve::FormatErrorLine(status));
-        } else {
-          respond("ok checkpoint " + std::to_string(checkpointer->generation()));
-        }
-        break;
-      }
-      case RequestKind::kQuit:
-        break;
-    }
+    batcher.Flush();
+    if (!WriteOutput(STDOUT_FILENO, session)) break;
   }
-  std::free(line_buf);
-  // Drain (signal or quit/EOF): stop accepting, finish what was accepted,
-  // then persist the post-flush state so --recover resumes exactly here.
+  // Drain (signal, quit, EOF or garbage): stop accepting, finish what was
+  // accepted, then persist the post-flush state so --recover resumes
+  // exactly here.
   batcher.Close();
-  if (checkpointer != nullptr) {
-    if (Status status = checkpointer->WriteNow(); !status.ok())
-      std::fprintf(stderr, "warning: final checkpoint failed: %s\n",
-                   status.ToString().c_str());
-  }
-  if (g_drain_signal != 0)
-    std::fprintf(stderr, "drained on signal %d (final checkpoint generation %llu)\n",
-                 static_cast<int>(g_drain_signal),
-                 checkpointer != nullptr
-                     ? static_cast<unsigned long long>(checkpointer->generation())
-                     : 0ULL);
+  WriteOutput(STDOUT_FILENO, session);
+  FinishServe(checkpointer);
   return 0;
 }
 
@@ -781,12 +744,7 @@ int RunServeNet(otfair::serve::RepairService& service, const FlagParser& flags,
   options.max_connections = static_cast<size_t>(max_conns);
   options.batcher = batcher_options;
   otfair::net::ServerHooks hooks;
-  if (checkpointer != nullptr) {
-    hooks.checkpoint = [checkpointer]() -> otfair::common::Result<uint64_t> {
-      if (Status status = checkpointer->WriteNow(); !status.ok()) return status;
-      return checkpointer->generation();
-    };
-  }
+  hooks.checkpoint = CheckpointHook(checkpointer);
   auto server = otfair::net::Server::Create(&service, options, std::move(hooks));
   if (!server.ok()) return Fail(server.status());
   const std::string port_file =
@@ -805,16 +763,7 @@ int RunServeNet(otfair::serve::RepairService& service, const FlagParser& flags,
   // write the final checkpoint, exit 0 — the PR-8 drain contract extended
   // to sockets.
   (*server)->Shutdown();
-  if (checkpointer != nullptr) {
-    if (Status status = checkpointer->WriteNow(); !status.ok())
-      std::fprintf(stderr, "warning: final checkpoint failed: %s\n",
-                   status.ToString().c_str());
-  }
-  std::fprintf(stderr, "drained on signal %d (final checkpoint generation %llu)\n",
-               static_cast<int>(g_drain_signal),
-               checkpointer != nullptr
-                   ? static_cast<unsigned long long>(checkpointer->generation())
-                   : 0ULL);
+  FinishServe(checkpointer);
   return 0;
 }
 
@@ -903,6 +852,8 @@ int RunServe(const FlagParser& flags) {
   }
   auto service_options = ServeServiceOptions(flags);
   if (!service_options.ok()) return Fail(service_options.status());
+  auto batcher_options = ServeBatcherOptions(flags);
+  if (!batcher_options.ok()) return Fail(batcher_options.status());
 
   std::unique_ptr<otfair::serve::RepairService> service;
   uint64_t recovered_generation = 0;
@@ -996,23 +947,12 @@ int RunServe(const FlagParser& flags) {
       return Fail(Status::InvalidArgument("replay archive/plan dimensionality mismatch"));
     const int sessions = flags.GetInt("sessions", 1);
     if (sessions < 1) return Fail(Status::InvalidArgument("--sessions must be >= 1"));
-    // Replay drives traffic flat-out and flushes explicitly; a flusher
-    // thread would only add wakeups.
-    auto batcher_options = ServeBatcherOptions(flags, /*background_flush=*/false);
-    if (!batcher_options.ok()) return Fail(batcher_options.status());
     ret = RunServeReplay(*service, *batcher_options, *archive,
                          static_cast<size_t>(sessions), redesigner.get(),
                          flags.GetInt("heal_drain_ms", 20000), checkpointer.get());
   } else if (flags.Has("listen")) {
-    // Each net worker is its batcher's only submitter and flushes at the
-    // end of every epoll cycle; a flusher thread would race the workers'
-    // unlocked connection state for nothing.
-    auto batcher_options = ServeBatcherOptions(flags, /*background_flush=*/false);
-    if (!batcher_options.ok()) return Fail(batcher_options.status());
     ret = RunServeNet(*service, flags, *batcher_options, checkpointer.get());
   } else {
-    auto batcher_options = ServeBatcherOptions(flags, /*background_flush=*/true);
-    if (!batcher_options.ok()) return Fail(batcher_options.status());
     ret = RunServeStdio(*service, *batcher_options, checkpointer.get());
   }
   // Stop order mirrors dependency order: the checkpoint loop reads the

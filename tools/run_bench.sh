@@ -34,8 +34,7 @@
 #     regardless of flags; pass --no_simd to measure the scalar
 #     baseline, and check the "simd_isa" field in the JSON meta to see
 #     what actually dispatched.
-#   * Paired rows isolate one effect each: repair_throughput vs
-#     repair_throughput_soa (memory layout), sinkhorn_standard across
+#   * Paired rows isolate one effect each: sinkhorn_standard across
 #     snapshots (kernel vectorization), table_build vs
 #     table_build_dense (sparsity). Compare like against like.
 #   * serve_net_* rows run real TCP loadgen client threads against the
