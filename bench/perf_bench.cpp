@@ -44,6 +44,10 @@
 //   alias_lookup_batch alias-arena draws/sec on a repair-shaped table
 //                      (n_q rows, CSR-support-sized), prefetched batch
 //                      loop — the repair table lookup in isolation.
+//   protocol_parse_ns  ns per ParseRequestLine of a dim-8 repair line.
+//   protocol_format_ns ns per AppendRowResponse of a dim-8 repaired row:
+//                      with protocol_parse_ns, the text codec a served row
+//                      pays in isolation.
 //   sketch_update_ns   ns per QuantileSketch::Add on a Gaussian stream —
 //                      the per-value cost the serve path pays when channel
 //                      sketches are enabled.
@@ -65,6 +69,7 @@
 //                      the dispatched ISA either way)
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -88,6 +93,7 @@
 #include "ot/sinkhorn.h"
 #include "serve/batcher.h"
 #include "serve/checkpointer.h"
+#include "serve/protocol.h"
 #include "serve/redesigner.h"
 #include "serve/repair_service.h"
 #include "sim/gaussian_mixture.h"
@@ -115,7 +121,7 @@ struct BenchCase {
   double dense_bytes_per_plan = 0.0;  // plan_memory only
   double latency_p50_us = 0.0;        // serve latency only
   double latency_p99_us = 0.0;        // serve latency only
-  double ns_per_op = 0.0;             // sketch_update only
+  double ns_per_op = 0.0;             // per-op rows (sketch, trace, codec)
 };
 
 /// Paper-style mixture generalized to `dim` features: the +/-1 mean
@@ -567,6 +573,69 @@ int main(int argc, char** argv) {
     for (int g = 1; g <= repeats + 1; ++g)
       ::remove(otfair::serve::CheckpointPath(dir, static_cast<uint64_t>(g)).c_str());
     ::remove(dir.c_str());
+  }
+
+  // --- protocol_parse_ns / protocol_format_ns: the wire codec --------------
+  // The text codec every served row pays twice, in isolation: ParseRequestLine
+  // on dim-8 repair lines of archive rows (features spelled shortest
+  // round-trip, as the codec itself prints them), and AppendRowResponse of
+  // the same values into an output buffer drained every 256 rows, as a
+  // session's is by its transport.
+  {
+    const size_t codec_rows = std::min<size_t>(n_archive, smoke ? 2000 : 100000);
+    std::vector<std::string> lines(codec_rows);
+    std::vector<otfair::serve::RowResponse> responses(codec_rows);
+    for (size_t i = 0; i < codec_rows; ++i) {
+      otfair::serve::RowResponse& response = responses[i];
+      response.session_id = i % 64;
+      response.row_index = i;
+      const double* row = archive->features().row(i);
+      response.repaired.assign(row, row + dim);
+      std::string& line = lines[i];
+      line = "repair " + std::to_string(response.session_id) + " " + std::to_string(i) + " " +
+             std::to_string(archive->u(i)) + " " + std::to_string(archive->s(i));
+      for (size_t k = 0; k < dim; ++k) {
+        char buf[32];
+        line += ' ';
+        line.append(buf, std::to_chars(buf, buf + sizeof(buf), row[k]).ptr);
+      }
+    }
+    double feature_sum = 0.0;
+    const double parse_ms = BestWallMs(repeats, [&] {
+      for (const std::string& line : lines) {
+        auto request = otfair::serve::ParseRequestLine(line, dim);
+        if (!request.ok()) Die("protocol bench parse: " + request.status().ToString());
+        feature_sum += request->row.features[0];
+      }
+    });
+    std::string out;
+    size_t out_bytes = 0;
+    const double format_ms = BestWallMs(repeats, [&] {
+      for (size_t i = 0; i < codec_rows; ++i) {
+        otfair::serve::AppendRowResponse(responses[i], &out);
+        if (i % 256 == 255) {
+          out_bytes += out.size();
+          out.clear();
+        }
+      }
+      out_bytes += out.size();
+      out.clear();
+    });
+    if (!std::isfinite(feature_sum) || out_bytes == 0) Die("protocol bench produced no output");
+    for (const bool parse : {true, false}) {
+      BenchCase c;
+      c.name = parse ? "protocol_parse_ns" : "protocol_format_ns";
+      c.threads = 1;
+      std::snprintf(params, sizeof(params), "{\"dim\": %zu, \"rows\": %zu}", dim,
+                    codec_rows);
+      c.params_json = params;
+      c.repeats = repeats;
+      c.wall_ms = parse ? parse_ms : format_ms;
+      c.ns_per_op = c.wall_ms * 1e6 / static_cast<double>(codec_rows);
+      cases.push_back(c);
+      std::fprintf(stderr, "%-24s threads=1 %8.2f ms  (%.0f ns/row)\n", c.name.c_str(),
+                   c.wall_ms, c.ns_per_op);
+    }
   }
 
   // --- sketch_update_ns: streaming sketch ingest in isolation --------------

@@ -89,6 +89,9 @@ class ByteReader {
       data_ = end_;  // poison: every later read fails too
       return false;
     }
+    // An empty array's data() may be null, and memcpy to null is undefined
+    // even for zero bytes.
+    if (len == 0) return true;
     std::memcpy(out, data_, len);
     data_ += len;
     return true;

@@ -2,6 +2,7 @@
 #define OTFAIR_SERVE_PROTOCOL_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "serve/repair_service.h"
@@ -34,7 +35,13 @@ namespace otfair::serve {
 /// text followed by a terminating "# EOF" line (a comment under the
 /// exposition grammar, so the payload stays checker-clean).
 ///
-/// Repaired values are printed with %.17g, so a round trip through the
+/// Numbers: the integer fields are unsigned decimal, digits only. A
+/// feature is a finite decimal double: one optional sign ('+' only before
+/// a digit or '.'), digits with an optional '.', an optional exponent
+/// (`1`, `-0.5`, `+.25`, `5.`, `1e-3`, `4e-320`). Hex floats, nan/inf in
+/// any spelling and values that overflow or underflow to zero are
+/// rejected. Repaired values print as the shortest decimal that parses
+/// back to the same double (`std::to_chars`), so a round trip through the
 /// protocol is bit-exact. Framing and which errors end a stream are
 /// `serve::Session`'s.
 
@@ -62,12 +69,17 @@ struct ProtocolRequest {
 /// feature payloads, oversized lines (> kMaxRequestLineBytes), binary
 /// junk — comes back as an InvalidArgument status (rendered by
 /// FormatErrorLine into a structured `err` line). Parsing never throws,
-/// crashes, or silently coerces a bad field.
-common::Result<ProtocolRequest> ParseRequestLine(const std::string& line, size_t dim,
+/// crashes, or silently coerces a bad field. Nothing is allocated per
+/// token: a valid line allocates only its feature vector (or reload path).
+common::Result<ProtocolRequest> ParseRequestLine(std::string_view line, size_t dim,
                                                  size_t u_levels = 2, size_t s_levels = 2);
 
-/// Formats the `ok .../err ...` response line for one repaired row
-/// (no trailing newline).
+/// Appends the `ok .../err ...` response line for one repaired row, with
+/// its trailing newline, to `out`. An `ok` line is written in place, with
+/// no temporary string.
+void AppendRowResponse(const RowResponse& response, std::string* out);
+
+/// The same line as a string, without the trailing newline.
 std::string FormatRowResponse(const RowResponse& response);
 
 /// Formats a request-level failure (parse errors, rejected submits) as an

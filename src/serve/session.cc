@@ -14,11 +14,10 @@ namespace {
 /// first token is NOT one of these is garbage input (binary junk, the
 /// wrong protocol) and closes the stream; a malformed line with a known
 /// verb is a client bug worth an error line but not a disconnect.
-bool KnownVerb(const std::string& line) {
+bool KnownVerb(std::string_view line) {
   const size_t i = line.find_first_not_of(" \t");
-  if (i == std::string::npos) return false;
-  const size_t j = line.find_first_of(" \t", i);
-  const std::string verb = line.substr(i, j == std::string::npos ? j : j - i);
+  if (i == std::string_view::npos) return false;
+  const std::string_view verb = line.substr(i, line.find_first_of(" \t", i) - i);
   return verb == "repair" || verb == "metrics" || verb == "health" || verb == "reload" ||
          verb == "checkpoint" || verb == "quit";
 }
@@ -51,9 +50,8 @@ void Session::Feed(const char* data, size_t size) {
       break;
     }
     if (nl == std::string::npos) break;
-    line_.assign(in_, start, line_len);
+    HandleLine(std::string_view(in_).substr(start, line_len));
     start = scan = nl + 1;
-    HandleLine();
   }
   if (closed_) {
     in_.clear();
@@ -65,24 +63,23 @@ void Session::Feed(const char* data, size_t size) {
 void Session::EndOfInput() {
   if (closed_) return;
   if (!in_.empty()) {
-    line_ = std::move(in_);
+    HandleLine(in_);
     in_.clear();
-    HandleLine();
   }
   Close();
 }
 
-void Session::HandleLine() {
-  while (!line_.empty() && line_.back() == '\r') line_.pop_back();
-  if (line_.empty()) return;
+void Session::HandleLine(std::string_view line) {
+  while (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  if (line.empty()) return;
   RepairService& service = *env_->service;
   Batcher& batcher = *env_->batcher;
   auto request =
-      ParseRequestLine(line_, service.dim(), service.u_levels(), service.s_levels());
+      ParseRequestLine(line, service.dim(), service.u_levels(), service.s_levels());
   if (!request.ok()) {
     Count(env_->protocol_errors);
     Respond(FormatErrorLine(request.status()));
-    if (!KnownVerb(line_)) {
+    if (!KnownVerb(line)) {
       // Garbage: this stream is not speaking the protocol.
       Count(env_->oversize_closed);
       Close();
@@ -147,7 +144,7 @@ void Session::HandleLine() {
   }
 }
 
-void Session::Deliver(const RowResponse& response) { Respond(FormatRowResponse(response)); }
+void Session::Deliver(const RowResponse& response) { AppendRowResponse(response, &out_); }
 
 void Session::Respond(const std::string& line) {
   out_ += line;

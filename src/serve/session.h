@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "obs/registry.h"
@@ -79,7 +80,8 @@ class Session {
   uint64_t stream_id() const { return stream_id_; }
 
  private:
-  void HandleLine();
+  /// `line` views the input buffer, which stays untouched until it returns.
+  void HandleLine(std::string_view line);
   void Respond(const std::string& line);
   /// Closes the stream after delivering every row it submitted.
   void Close();
@@ -88,8 +90,6 @@ class Session {
   uint64_t stream_id_;
   /// Unconsumed input (at most one partial line between Feed calls).
   std::string in_;
-  /// The line being handled (reused to avoid a per-line allocation).
-  std::string line_;
   /// Pending output; [out_off_, out_.size()) is unwritten.
   std::string out_;
   size_t out_off_ = 0;

@@ -540,7 +540,7 @@ TEST_F(CliTest, ServeTcpMatchesStdioServeByteForByte) {
                 " --n_q=40"),
             0);
   // The same request stream through both front ends. Values are arbitrary;
-  // both paths parse the identical bytes, so the %.17g responses must be
+  // both paths parse the identical bytes, so the responses must be
   // byte-identical line for line.
   const std::vector<std::string> requests = {
       "repair 0 0 0 1 0.5 -0.5",     "repair 3 0 1 0 1.25 0.75",

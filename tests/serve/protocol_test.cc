@@ -1,8 +1,17 @@
 #include "serve/protocol.h"
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace otfair::serve {
 namespace {
@@ -61,11 +70,150 @@ TEST(ProtocolTest, FormatsOkResponseWithRoundTripPrecision) {
   response.row_index = 9;
   response.repaired = {0.1, -2.0};
   const std::string line = FormatRowResponse(response);
-  EXPECT_EQ(line.substr(0, 7), "ok 4 9 ");
-  // %.17g survives a strtod round trip bit-exactly.
+  // The shortest decimal that reads back as the same double.
+  EXPECT_EQ(line, "ok 4 9 0.1 -2");
   double parsed = 0.0;
   ASSERT_EQ(std::sscanf(line.c_str(), "ok 4 9 %lf", &parsed), 1);
   EXPECT_EQ(parsed, 0.1);
+}
+
+TEST(ProtocolTest, AppendRowResponseAppendsOneTerminatedLine) {
+  RowResponse ok;
+  ok.session_id = 18446744073709551615u;
+  ok.row_index = 0;
+  ok.repaired = {-0.0, 1e+300, 5e-324};
+  RowResponse err;
+  err.session_id = 2;
+  err.row_index = 5;
+  err.status = common::Status::InvalidArgument("bad row");
+  std::string out = "prefix\n";
+  AppendRowResponse(ok, &out);
+  AppendRowResponse(err, &out);
+  EXPECT_EQ(out,
+            "prefix\n"
+            "ok 18446744073709551615 0 -0 1e+300 5e-324\n"
+            "err 2 5 INVALID_ARGUMENT bad row\n");
+  EXPECT_EQ(FormatRowResponse(ok), "ok 18446744073709551615 0 -0 1e+300 5e-324");
+}
+
+// --- Number grammar ----------------------------------------------------------
+//
+// Features are read with std::from_chars plus one rule: a single leading
+// '+' before a digit or '.' is skipped. That pins the three spellings on
+// which from_chars and strtod disagree.
+
+/// The one feature of a dim-1 repair line, or nullopt when rejected.
+std::optional<double> ParseFeature(const std::string& text) {
+  auto request = ParseRequestLine("repair 0 0 0 0 " + text, 1);
+  if (!request.ok()) return std::nullopt;
+  return request->row.features[0];
+}
+
+TEST(ProtocolNumberGrammarTest, AcceptsOneLeadingPlusBeforeADigitOrPoint) {
+  EXPECT_EQ(ParseFeature("+1.0"), 1.0);
+  EXPECT_EQ(ParseFeature("+.5"), 0.5);
+  EXPECT_EQ(ParseFeature("+2e3"), 2000.0);
+  EXPECT_EQ(ParseFeature("+0"), 0.0);
+  EXPECT_EQ(ParseFeature("+-1"), std::nullopt);
+  EXPECT_EQ(ParseFeature("++1"), std::nullopt);
+  EXPECT_EQ(ParseFeature("-+1"), std::nullopt);
+  EXPECT_EQ(ParseFeature("+"), std::nullopt);
+  EXPECT_EQ(ParseFeature("+inf"), std::nullopt);
+  EXPECT_EQ(ParseFeature("+nan"), std::nullopt);
+  EXPECT_EQ(ParseFeature("+e1"), std::nullopt);
+}
+
+TEST(ProtocolNumberGrammarTest, RejectsHexFloats) {
+  EXPECT_EQ(ParseFeature("0x1p3"), std::nullopt);
+  EXPECT_EQ(ParseFeature("0X10"), std::nullopt);
+  EXPECT_EQ(ParseFeature("-0x1.8p1"), std::nullopt);
+  EXPECT_EQ(ParseFeature("+0x1p3"), std::nullopt);
+}
+
+TEST(ProtocolNumberGrammarTest, AcceptsSubnormalsAndRejectsUnderflowToZero) {
+  const std::optional<double> subnormal = ParseFeature("4e-320");
+  ASSERT_TRUE(subnormal.has_value());
+  EXPECT_GT(*subnormal, 0.0);
+  EXPECT_LT(*subnormal, std::numeric_limits<double>::min());
+  EXPECT_EQ(ParseFeature("4.9406564584124654e-324"),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(ParseFeature("-5e-324"), -std::numeric_limits<double>::denorm_min());
+  // Below half of denorm_min the value would round to zero: out of range,
+  // as under strtod.
+  EXPECT_EQ(ParseFeature("1e-400"), std::nullopt);
+  EXPECT_EQ(ParseFeature("2e-324"), std::nullopt);
+}
+
+TEST(ProtocolNumberGrammarTest, KeepsTheDecimalSpellingsStrtodAccepted) {
+  EXPECT_EQ(ParseFeature("5."), 5.0);
+  EXPECT_EQ(ParseFeature(".5"), 0.5);
+  EXPECT_EQ(ParseFeature("-.5"), -0.5);
+  EXPECT_EQ(ParseFeature("1.e5"), 1e5);
+  EXPECT_EQ(ParseFeature("1E-3"), 1e-3);
+  EXPECT_EQ(ParseFeature("00012"), 12.0);
+  EXPECT_EQ(ParseFeature("1.7976931348623157e308"), std::numeric_limits<double>::max());
+  const std::optional<double> negative_zero = ParseFeature("-0");
+  ASSERT_TRUE(negative_zero.has_value());
+  EXPECT_TRUE(std::signbit(*negative_zero));
+  for (const char* bad : {"1e", "e5", "-", ".", "1.0.0", "1e5.0", "1,5", "1_000",
+                          "1.7976931348623159e308", "infinity", "-nan", "nan(1)"})
+    EXPECT_EQ(ParseFeature(bad), std::nullopt) << bad;
+}
+
+/// The request line that sends `response`'s values back: "ok" becomes
+/// "repair" and u = s = 0 follow the row index.
+std::string EchoAsRequest(const RowResponse& response) {
+  std::string line;
+  AppendRowResponse(response, &line);
+  EXPECT_EQ(line.back(), '\n');
+  line.pop_back();
+  EXPECT_EQ(line.compare(0, 3, "ok "), 0) << line;
+  const size_t values = line.find(' ', line.find(' ', 3) + 1);
+  return "repair " + line.substr(3, values - 3) + " 0 0" + line.substr(values);
+}
+
+TEST(ProtocolRoundTripTest, EveryFiniteDoubleSurvivesFormatThenParseBitExactly) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                kDenormMin,
+                                -kDenormMin,
+                                kMax,
+                                -kMax,
+                                kMin,
+                                std::nextafter(kMin, 0.0),
+                                std::nextafter(1.0, 2.0),
+                                std::nextafter(1.0, 0.0),
+                                0.1,
+                                1.0 / 3.0,
+                                1e16,
+                                123456789012345680.0,
+                                -2.2250738585072014e-308};
+  // Random bit patterns cover every exponent and sign evenly; non-finite
+  // patterns (all-ones exponent) are not values the protocol carries.
+  common::Rng rng(0x70c0de);
+  while (values.size() < 8 * 5000) {
+    const double v = std::bit_cast<double>(rng.Next64());
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  constexpr size_t kDim = 8;
+  for (size_t begin = 0; begin < values.size(); begin += kDim) {
+    RowResponse response;
+    response.session_id = rng.Next64();
+    response.row_index = begin == 0 ? std::numeric_limits<uint64_t>::max() : rng.Next64();
+    response.repaired.assign(values.begin() + begin, values.begin() + begin + kDim);
+    const std::string line = EchoAsRequest(response);
+    auto request = ParseRequestLine(line, kDim);
+    ASSERT_TRUE(request.ok()) << line << ": " << request.status();
+    EXPECT_EQ(request->row.session_id, response.session_id);
+    EXPECT_EQ(request->row.row_index, response.row_index);
+    for (size_t k = 0; k < kDim; ++k)
+      ASSERT_EQ(std::bit_cast<uint64_t>(request->row.features[k]),
+                std::bit_cast<uint64_t>(response.repaired[k]))
+          << line << " k " << k;
+  }
 }
 
 TEST(ProtocolTest, FormatsErrorResponses) {
