@@ -51,6 +51,10 @@
 //   sketch_update_ns   ns per QuantileSketch::Add on a Gaussian stream —
 //                      the per-value cost the serve path pays when channel
 //                      sketches are enabled.
+//   sketch_read_us     one channel's redesign reads of a 500-value sketch:
+//                      a read-table build, then the fit gate's 511 Cdf and
+//                      the designer's 512 pseudo-sample Quantile calls
+//                      (`ns_per_op` is one such channel read).
 //   trace_overhead_disabled  ns per OTFAIR_TRACE_SPAN guard with span
 //   trace_overhead_enabled   collection off (the serving default — must
 //                      be branch-cheap) vs on (two clock reads plus a
@@ -668,6 +672,44 @@ int main(int argc, char** argv) {
     cases.push_back(c);
     std::fprintf(stderr, "sketch_update_ns  threads=1  %10.2f ms  (%.1f ns/value)\n", ms,
                  c.ns_per_op);
+  }
+
+  // --- sketch_read_us: one channel's reads during a redesign ---------------
+  // What AttemptRedesign pays per (u, s, k) channel to read its sketch:
+  // one QuantileSketch::BuildTable, then SketchFitW1's 511 midpoint Cdf
+  // calls at n_Q = 512 and DesignFromQuantileFunctions' 512 pseudo-sample
+  // Quantile probes. 500 values is a ripe channel's order of magnitude.
+  {
+    Rng read_rng(0x5ead);
+    otfair::stats::QuantileSketch sketch;
+    const size_t values = 500;
+    for (size_t i = 0; i < values; ++i) sketch.Add(read_rng.Normal(0.0, 2.0));
+    const double lo = sketch.min();
+    const double step = (sketch.max() - lo) / 512.0;
+    const size_t reads = smoke ? 20 : 2000;
+    double sink = 0.0;
+    const double ms = BestWallMs(repeats, [&] {
+      for (size_t r = 0; r < reads; ++r) {
+        const otfair::stats::QuantileSketch::Table table = sketch.BuildTable();
+        for (int i = 0; i < 511; ++i) sink += table.Cdf(lo + step * (i + 1));
+        for (int i = 0; i < 512; ++i) sink += table.Quantile((i + 0.5) / 512.0);
+      }
+    });
+    if (!std::isfinite(sink) || sink <= 0.0) Die("sketch_read produced implausible sink");
+    BenchCase c;
+    c.name = "sketch_read_us";
+    c.threads = 1;
+    std::snprintf(params, sizeof(params),
+                  "{\"values\": %zu, \"buckets\": %zu, \"reads\": %zu, \"cdf_calls\": 511, "
+                  "\"quantile_calls\": 512}",
+                  values, sketch.bucket_count(), reads);
+    c.params_json = params;
+    c.repeats = repeats;
+    c.wall_ms = ms;
+    c.ns_per_op = ms * 1e6 / static_cast<double>(reads);
+    cases.push_back(c);
+    std::fprintf(stderr, "sketch_read_us    threads=1  %10.2f ms  (%.2f us/channel read)\n", ms,
+                 c.ns_per_op * 1e-3);
   }
 
   // --- trace_overhead_disabled / trace_overhead_enabled --------------------

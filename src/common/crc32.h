@@ -9,8 +9,11 @@ namespace otfair::common {
 
 /// IEEE 802.3 CRC-32 (the zlib/gzip polynomial 0xEDB88320, reflected,
 /// init/final-xor 0xFFFFFFFF). Used as the integrity check on checkpoint
-/// payloads: it catches the bit-flips and truncations the chaos harness
-/// injects, without pulling in any external dependency.
+/// payloads and plan files: it catches the bit-flips and truncations the
+/// chaos harness injects, without pulling in any external dependency.
+/// Computed slicing-by-8 (eight table lookups per 8-byte step, a byte loop
+/// for the tail); the values are the standard IEEE CRCs, the same as a
+/// bytewise table gives, so files written by either version verify.
 uint32_t Crc32(const void* data, size_t len);
 
 inline uint32_t Crc32(const std::string& bytes) {

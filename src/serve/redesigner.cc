@@ -19,31 +19,26 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Normalized W1 between the sketch's streamed distribution and a design
-/// marginal, both expressed on the marginal's grid — the same statistic
-/// (and normalization) DriftMonitor judges the live plan by, so the
-/// candidate's fit is directly comparable to the drift level that
-/// triggered the redesign.
-double SketchFitW1(const stats::QuantileSketch& sketch, const core::SupportGrid& grid,
+}  // namespace
+
+double SketchFitW1(const stats::QuantileSketch::Table& stream, const core::SupportGrid& grid,
                    const ot::DiscreteMeasure& marginal) {
   const std::vector<double>& points = grid.points();
   const size_t n = points.size();
-  if (n < 2 || sketch.count() == 0) return 0.0;
+  if (n < 2 || stream.count() == 0) return 0.0;
   double gap_sum = 0.0;
   double cum_design = 0.0;
   for (size_t i = 0; i + 1 < n; ++i) {
     // CDF at the midpoint between states i and i+1: every streamed value
     // below it bins to state <= i (nearest-state binning, as the drift
     // histogram does). Out-of-range mass clamps into the end states.
-    const double cum_stream = sketch.Cdf(0.5 * (points[i] + points[i + 1]));
+    const double cum_stream = stream.Cdf(0.5 * (points[i] + points[i + 1]));
     cum_design += marginal.weight_at(i);
     gap_sum += std::fabs(cum_stream - cum_design);
   }
   const double span = grid.hi() - grid.lo();
   return span > 0.0 ? grid.step() * gap_sum / span : 0.0;
 }
-
-}  // namespace
 
 Redesigner::Redesigner(RepairService* service, const RedesignerOptions& options,
                        FaultInjector faults)
@@ -276,11 +271,19 @@ Status Redesigner::AttemptRedesign(
   // Stage 1: bounded-memory inputs. The sketch snapshot and the drift
   // level the candidate must beat are taken back to back, so both describe
   // the same serving snapshot (a concurrent reload would reset both).
-  std::vector<stats::QuantileSketch> sketches =
-      sketches_override != nullptr ? *sketches_override : service_->SketchSnapshot();
+  std::vector<stats::QuantileSketch> snapshot;
+  if (sketches_override == nullptr) snapshot = service_->SketchSnapshot();
+  const std::vector<stats::QuantileSketch>& sketches =
+      sketches_override != nullptr ? *sketches_override : snapshot;
   if (sketches.empty())
     return Status::FailedPrecondition("sketches disabled; cannot redesign from stream");
   const core::DriftReport current = service_->DriftSnapshot();
+  // One read table per channel: the designer's pseudo-sample probes and the
+  // fit gate below query these, paying one pow per bucket per channel
+  // instead of one per bucket per query.
+  std::vector<stats::QuantileSketch::Table> tables;
+  tables.reserve(sketches.size());
+  for (const stats::QuantileSketch& sketch : sketches) tables.push_back(sketch.BuildTable());
 
   if (faults_.ShouldInject(Fault::kRedesignTimeout))
     std::this_thread::sleep_for(
@@ -300,12 +303,10 @@ Status Redesigner::AttemptRedesign(
 
   const size_t dim = service_->dim();
   const size_t s_levels = service_->s_levels();
-  auto shared =
-      std::make_shared<const std::vector<stats::QuantileSketch>>(std::move(sketches));
-  std::vector<core::StreamChannelQuantiles> channels(shared->size());
-  for (size_t c = 0; c < shared->size(); ++c) {
-    channels[c].count = (*shared)[c].count();
-    channels[c].quantile = [shared, c](double p) { return (*shared)[c].Quantile(p); };
+  std::vector<core::StreamChannelQuantiles> channels(tables.size());
+  for (size_t c = 0; c < tables.size(); ++c) {
+    channels[c].count = tables[c].count();
+    channels[c].quantile = [&table = tables[c]](double p) { return table.Quantile(p); };
   }
   auto candidate = [&] {
     OTFAIR_TRACE_SPAN("redesign_design");
@@ -337,7 +338,7 @@ Status Redesigner::AttemptRedesign(
           for (size_t k = 0; k < dim; ++k) {
             const core::ChannelPlan& channel = candidate->At(static_cast<int>(u), k);
             for (size_t s = 0; s < s_levels; ++s) {
-              const double fit = SketchFitW1((*shared)[(u * s_levels + s) * dim + k],
+              const double fit = SketchFitW1(tables[(u * s_levels + s) * dim + k],
                                              channel.grid, channel.marginal[s]);
               worst_fit = std::max(worst_fit, fit);
             }

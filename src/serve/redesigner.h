@@ -13,8 +13,11 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "core/designer.h"
+#include "core/support_grid.h"
+#include "ot/measure.h"
 #include "serve/fault_injector.h"
 #include "serve/repair_service.h"
+#include "stats/quantile_sketch.h"
 
 namespace otfair::serve {
 
@@ -72,6 +75,16 @@ struct RedesignerStats {
   /// Episodes that exhausted every retry and flagged `degraded`.
   uint64_t gave_up = 0;
 };
+
+/// Normalized W1 between a channel's streamed distribution (a sketch read
+/// table) and a design marginal, both expressed on the marginal's grid: the
+/// stream's CDF is read at the midpoint between neighbouring states. It is
+/// the statistic (and normalization) DriftMonitor judges the live plan by,
+/// so a candidate's fit is directly comparable to the drift level that
+/// triggered the redesign. AttemptRedesign's fit gate takes the worst of it
+/// over every channel.
+double SketchFitW1(const stats::QuantileSketch::Table& stream, const core::SupportGrid& grid,
+                   const ot::DiscreteMeasure& marginal);
 
 /// The self-healing loop: a background thread that watches the service's
 /// drift verdict and, when it trips, rebuilds the repair plan from the

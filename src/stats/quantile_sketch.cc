@@ -109,49 +109,58 @@ double QuantileSketch::max() const {
   return count_ == 0 ? std::numeric_limits<double>::quiet_NaN() : max_;
 }
 
-template <typename Fn>
-void QuantileSketch::ForEachBucketAscending(Fn&& fn) const {
+QuantileSketch::Table QuantileSketch::BuildTable() const {
+  Table table;
+  table.count_ = count_;
+  table.min_ = min_;
+  table.max_ = max_;
+  if (count_ == 0) return table;
+  // Ascending value order: negatives (descending key), zero, positives
+  // (ascending key).
+  uint64_t cumulative = 0;
+  auto append = [&](double value, uint64_t n) {
+    cumulative += n;
+    table.values_.push_back(value);
+    table.cumulative_.push_back(cumulative);
+  };
+  const size_t occupied = bucket_count();
+  table.values_.reserve(occupied);
+  table.cumulative_.reserve(occupied);
   for (size_t i = negative_.counts.size(); i-- > 0;) {
     if (negative_.counts[i] > 0)
-      fn(-BucketValue(negative_.base + static_cast<int>(i)), negative_.counts[i]);
+      append(-BucketValue(negative_.base + static_cast<int>(i)), negative_.counts[i]);
   }
-  if (zero_count_ > 0) fn(0.0, zero_count_);
+  if (zero_count_ > 0) append(0.0, zero_count_);
   for (size_t i = 0; i < positive_.counts.size(); ++i) {
     if (positive_.counts[i] > 0)
-      fn(BucketValue(positive_.base + static_cast<int>(i)), positive_.counts[i]);
+      append(BucketValue(positive_.base + static_cast<int>(i)), positive_.counts[i]);
   }
+  return table;
 }
 
-double QuantileSketch::Quantile(double p) const {
+double QuantileSketch::Table::Quantile(double p) const {
   if (count_ == 0) return std::numeric_limits<double>::quiet_NaN();
   p = std::min(1.0, std::max(0.0, p));
   if (p <= 0.0) return min_;
   if (p >= 1.0) return max_;
-  // 0-based rank of the order statistic the estimate targets.
+  // 0-based rank of the order statistic the estimate targets; the estimate
+  // is the first bucket whose running count passes it.
   const uint64_t rank =
       static_cast<uint64_t>(p * static_cast<double>(count_ - 1));
-  uint64_t cumulative = 0;
-  double result = max_;
-  bool found = false;
-  ForEachBucketAscending([&](double value, uint64_t n) {
-    if (found) return;
-    cumulative += n;
-    if (cumulative > rank) {
-      result = value;
-      found = true;
-    }
-  });
+  const auto it = std::upper_bound(cumulative_.begin(), cumulative_.end(), rank);
+  const double result =
+      it == cumulative_.end() ? max_ : values_[static_cast<size_t>(it - cumulative_.begin())];
   return std::min(max_, std::max(min_, result));
 }
 
-double QuantileSketch::Cdf(double x) const {
+double QuantileSketch::Table::Cdf(double x) const {
   if (count_ == 0) return 0.0;
-  if (x < min_) return 0.0;
+  if (std::isnan(x) || x < min_) return 0.0;
   if (x >= max_) return 1.0;
-  uint64_t below = 0;
-  ForEachBucketAscending([&](double value, uint64_t n) {
-    if (value <= x) below += n;
-  });
+  // The buckets whose value is <= x form a prefix of the ascending table.
+  const size_t prefix = static_cast<size_t>(
+      std::upper_bound(values_.begin(), values_.end(), x) - values_.begin());
+  const uint64_t below = prefix == 0 ? 0 : cumulative_[prefix - 1];
   return static_cast<double>(below) / static_cast<double>(count_);
 }
 

@@ -55,13 +55,49 @@ class QuantileSketch {
   double min() const;
   double max() const;
 
-  /// Estimated p-quantile (p clamped to [0, 1]); NaN when empty. p = 0 and
-  /// p = 1 return the exact min/max, and every estimate is clamped into
-  /// [min, max].
-  double Quantile(double p) const;
+  /// An immutable read view of the sketch: its non-empty buckets in
+  /// ascending value order with running counts, plus the exact count and
+  /// extremes. Building one costs one `pow` per non-empty bucket and
+  /// O(buckets) memory; each Quantile/Cdf on it is then a binary search,
+  /// O(log buckets), with no `pow`. Bucket values are strictly ascending,
+  /// so the buckets at or below any x form a prefix, and the answers are
+  /// exact, not approximations of the sketch's. Callers that read a sketch
+  /// many times (the redesigner probes ~1k points per channel) build one
+  /// table and query it.
+  class Table {
+   public:
+    /// Finite values behind the table.
+    uint64_t count() const { return count_; }
 
-  /// Estimated fraction of observed mass <= x; 0 when empty.
-  double Cdf(double x) const;
+    /// Estimated p-quantile (p clamped to [0, 1], NaN p read as 0); NaN
+    /// when empty. p = 0 and p = 1 return the exact min/max, and every
+    /// estimate is clamped into [min, max].
+    double Quantile(double p) const;
+
+    /// Estimated fraction of observed mass <= x; 0 when empty, below min,
+    /// or for NaN x; 1 at or above max.
+    double Cdf(double x) const;
+
+   private:
+    friend class QuantileSketch;
+
+    /// Bucket value estimates, strictly ascending.
+    std::vector<double> values_;
+    /// cumulative_[i] = observations in buckets 0..i; back() == count_.
+    std::vector<uint64_t> cumulative_;
+    uint64_t count_ = 0;
+    double min_ = 0.0;
+    double max_ = 0.0;
+  };
+
+  /// Snapshot of the current state as a Table (one `pow` per non-empty
+  /// bucket). Later Adds and Merges do not reach an existing table.
+  Table BuildTable() const;
+
+  /// One-off reads: each call builds a Table and queries it, so it costs
+  /// one `pow` per non-empty bucket. Read many points through BuildTable.
+  double Quantile(double p) const { return BuildTable().Quantile(p); }
+  double Cdf(double x) const { return BuildTable().Cdf(x); }
 
   /// Drops all observed state, keeping the bucket geometry.
   void Reset();
@@ -98,12 +134,6 @@ class QuantileSketch {
 
   int KeyFor(double abs_value) const;
   double BucketValue(int key) const;
-
-  /// Invokes fn(value_estimate, count) over every non-empty bucket in
-  /// ascending value order: negatives (descending key), zero, positives
-  /// (ascending key).
-  template <typename Fn>
-  void ForEachBucketAscending(Fn&& fn) const;
 
   double alpha_;
   double gamma_;

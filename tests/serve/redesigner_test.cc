@@ -8,11 +8,16 @@
 //    traffic.
 //  - Retry exhaustion flags `degraded` (sticky, still serving); a
 //    transient fault is absorbed by the retry budget without degrading.
+//  - Reading the sketches through read tables changes nothing: the
+//    installed plan and the fit-gate W1 equal what the per-bucket sketch
+//    walk gives, bit for bit.
 
 #include "serve/redesigner.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -27,6 +32,7 @@
 #include "serve/fault_injector.h"
 #include "serve/repair_service.h"
 #include "sim/gaussian_mixture.h"
+#include "testing/sketch_reference_walk.h"
 
 namespace otfair::serve {
 namespace {
@@ -239,6 +245,73 @@ TEST(RedesignerTest, RedesignedPlanKeepsGeometry) {
   EXPECT_EQ(after.feature_names, before.feature_names);
   EXPECT_EQ(after.lambdas, before.lambdas);
   EXPECT_EQ(after.target_t, before.target_t);
+}
+
+TEST(RedesignerTest, InstalledPlanEqualsReferenceWalkDesign) {
+  Fixture fx = MakeFixture(6);
+  auto service = MakeService(fx);
+  StreamShifted(service.get(), fx.archive, 2.0);
+  ASSERT_TRUE(service->Health().drifted);
+  // The sketches AttemptRedesign is about to read (no traffic in between).
+  const std::vector<stats::QuantileSketch> sketches = service->SketchSnapshot();
+  std::vector<testing::ReferenceSketchWalk> walks;
+  for (const stats::QuantileSketch& sketch : sketches) {
+    walks.emplace_back(sketch);
+    ASSERT_TRUE(walks.back().complete());
+  }
+
+  // The design AttemptRedesign runs, fed by the per-bucket walk.
+  const RepairService::PlanGeometry geometry = service->Geometry();
+  core::DesignOptions design = RedesignerOptions{}.design;
+  design.n_q = geometry.n_q;
+  design.lambdas = geometry.lambdas;
+  design.target_t = geometry.target_t;
+  std::vector<core::StreamChannelQuantiles> channels(sketches.size());
+  for (size_t c = 0; c < sketches.size(); ++c) {
+    channels[c].count = sketches[c].count();
+    channels[c].quantile = [&walks, c](double p) { return walks[c].Quantile(p); };
+  }
+  auto expected = core::DesignFromQuantileFunctions(service->dim(), geometry.feature_names,
+                                                    service->s_levels(), service->u_levels(),
+                                                    channels, design);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+
+  auto redesigner = MakeInertRedesigner(service.get());
+  ASSERT_TRUE(redesigner->AttemptRedesign().ok());
+  ASSERT_EQ(service->plan_version(), 2u);
+  const core::RepairPlanSet installed = service->StateForCheckpoint().plans;
+  EXPECT_EQ(installed.SerializeToString(), expected->SerializeToString());
+
+  // The fit gate's W1 equals the per-midpoint Cdf loop over the walk.
+  auto bits = [](double x) {
+    uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof(b));
+    return b;
+  };
+  const size_t dim = service->dim();
+  const size_t s_levels = service->s_levels();
+  for (size_t u = 0; u < service->u_levels(); ++u) {
+    for (size_t k = 0; k < dim; ++k) {
+      const core::ChannelPlan& channel = installed.At(static_cast<int>(u), k);
+      const std::vector<double>& points = channel.grid.points();
+      for (size_t s = 0; s < s_levels; ++s) {
+        const size_t c = (u * s_levels + s) * dim + k;
+        double gap_sum = 0.0;
+        double cum_design = 0.0;
+        for (size_t i = 0; i + 1 < points.size(); ++i) {
+          const double cum_stream = walks[c].Cdf(0.5 * (points[i] + points[i + 1]));
+          cum_design += channel.marginal[s].weight_at(i);
+          gap_sum += std::fabs(cum_stream - cum_design);
+        }
+        const double reference =
+            channel.grid.step() * gap_sum / (channel.grid.hi() - channel.grid.lo());
+        const double fit =
+            SketchFitW1(sketches[c].BuildTable(), channel.grid, channel.marginal[s]);
+        EXPECT_EQ(bits(fit), bits(reference)) << "channel " << c;
+        EXPECT_LT(fit, service->options().drift.w1_threshold) << "channel " << c;
+      }
+    }
+  }
 }
 
 TEST(RedesignerTest, UndriftedServiceDoesNotRedesign) {

@@ -10,12 +10,19 @@
 //    rank-discretization step.
 //  - Bounded memory: bucket occupancy stays under the documented ceiling
 //    no matter how many values stream in.
+//  - Read tables: Cdf/Quantile through a Table (and the sketch's own
+//    one-line wrappers over it) equal the pre-table per-bucket walk bit
+//    for bit, edge cases included.
 
 #include "stats/quantile_sketch.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +30,7 @@
 #include "common/byte_io.h"
 #include "common/rng.h"
 #include "sim/gaussian_mixture.h"
+#include "testing/sketch_reference_walk.h"
 
 namespace otfair::stats {
 namespace {
@@ -318,6 +326,160 @@ TEST(QuantileSketchSerializationTest, CorruptPayloadsRejectedWithoutMutating) {
     // keeps the invariants intact; counts must still be self-consistent.
     EXPECT_EQ(target.count(), sketch.count());
   }
+}
+
+// --- Read tables against the pre-table walk --------------------------------
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+/// Every probe the table must answer exactly as the per-bucket walk did:
+/// each bucket value and its neighbours one ulp away, the extremes and
+/// beyond, NaN and the infinities for Cdf; the clamp and NaN branches and a
+/// grid (plus the designer's midpoint probes) for Quantile. Checks a table
+/// built once, and the sketch's own wrappers.
+void ExpectTableMatchesWalk(const QuantileSketch& sketch) {
+  const testing::ReferenceSketchWalk walk(sketch);
+  ASSERT_TRUE(walk.complete());
+  const QuantileSketch::Table table = sketch.BuildTable();
+  EXPECT_EQ(table.count(), sketch.count());
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs = {std::nan(""), -kInf, kInf, 0.0, -0.0, 1e-13, -1e-13};
+  if (sketch.count() > 0) {
+    for (double extreme : {sketch.min(), sketch.max()}) {
+      xs.push_back(extreme);
+      xs.push_back(std::nextafter(extreme, -kInf));
+      xs.push_back(std::nextafter(extreme, kInf));
+    }
+    xs.push_back(sketch.min() - 1.0);
+    xs.push_back(sketch.max() + 1.0);
+  }
+  for (double value : walk.BucketValues()) {
+    xs.push_back(value);
+    xs.push_back(std::nextafter(value, -kInf));
+    xs.push_back(std::nextafter(value, kInf));
+  }
+  for (double x : xs) {
+    const double expected = walk.Cdf(x);
+    EXPECT_EQ(Bits(table.Cdf(x)), Bits(expected)) << "Cdf x=" << x;
+    EXPECT_EQ(Bits(sketch.Cdf(x)), Bits(expected)) << "Cdf x=" << x;
+  }
+
+  std::vector<double> ps = {0.0,  1.0,  std::nan(""), std::nextafter(1.0, 0.0),
+                            std::nextafter(0.0, 1.0), -0.5, 1.5, -kInf, kInf};
+  for (int i = 0; i <= 1000; ++i) ps.push_back(i / 1000.0);
+  for (int i = 0; i < 512; ++i) ps.push_back((i + 0.5) / 512.0);
+  for (double p : ps) {
+    const double expected = walk.Quantile(p);
+    EXPECT_EQ(Bits(table.Quantile(p)), Bits(expected)) << "Quantile p=" << p;
+    EXPECT_EQ(Bits(sketch.Quantile(p)), Bits(expected)) << "Quantile p=" << p;
+  }
+}
+
+/// Negative, zero-bucket (|x| < 1e-12) and positive values from one seed.
+std::vector<double> SignedStream(size_t n, uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<double> xs(n);
+  for (double& x : xs) {
+    const double u = rng.Uniform();
+    if (u < 0.05) {
+      x = rng.Uniform(-1e-12, 1e-12);  // lands in the zero bucket
+    } else if (u < 0.08) {
+      x = 0.0;
+    } else {
+      x = rng.Normal(0.5, 3.0);
+    }
+  }
+  return xs;
+}
+
+TEST(QuantileSketchTableTest, EmptyTableMatchesWalk) {
+  QuantileSketch sketch;
+  ExpectTableMatchesWalk(sketch);
+  EXPECT_TRUE(std::isnan(sketch.BuildTable().Quantile(0.5)));
+  EXPECT_EQ(sketch.BuildTable().Cdf(1.0), 0.0);
+}
+
+TEST(QuantileSketchTableTest, SignedStreamsMatchWalk) {
+  for (uint64_t seed : {31u, 32u, 33u}) {
+    QuantileSketch sketch;
+    for (double x : SignedStream(4000, seed)) sketch.Add(x);
+    SCOPED_TRACE(seed);
+    ExpectTableMatchesWalk(sketch);
+  }
+}
+
+TEST(QuantileSketchTableTest, CoarseAndFineGeometriesMatchWalk) {
+  for (double alpha : {1e-4, 0.003, 0.05, 0.25}) {
+    QuantileSketch sketch(QuantileSketch::Options{alpha});
+    for (double x : SignedStream(600, 34)) sketch.Add(x);
+    SCOPED_TRACE(alpha);
+    ExpectTableMatchesWalk(sketch);
+  }
+}
+
+TEST(QuantileSketchTableTest, SingleValueMatchesWalk) {
+  for (double v : {2.5, -2.5, 0.0, 1e-13, 1e12, -3e15}) {
+    QuantileSketch sketch;
+    sketch.Add(v);
+    SCOPED_TRACE(v);
+    ExpectTableMatchesWalk(sketch);
+    EXPECT_EQ(sketch.Quantile(0.5), v);
+    EXPECT_EQ(sketch.Cdf(v), 1.0);
+  }
+}
+
+TEST(QuantileSketchTableTest, ShardsMergedInShuffledOrderMatchWalk) {
+  const std::vector<double> xs = SignedStream(6000, 35);
+  std::vector<QuantileSketch> shards(8);
+  for (size_t i = 0; i < xs.size(); ++i) shards[i % shards.size()].Add(xs[i]);
+  common::Rng rng(36);
+  for (int trial = 0; trial < 3; ++trial) {
+    std::vector<size_t> order(shards.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (size_t i = order.size(); i > 1; --i)
+      std::swap(order[i - 1], order[static_cast<size_t>(rng.UniformInt(i))]);
+    QuantileSketch merged;
+    for (size_t i : order) ASSERT_TRUE(merged.Merge(shards[i]).ok());
+    SCOPED_TRACE(trial);
+    ExpectTableMatchesWalk(merged);
+  }
+}
+
+TEST(QuantileSketchTableTest, DeserializedSketchMatchesWalk) {
+  QuantileSketch sketch;
+  for (double x : SignedStream(3000, 37)) sketch.Add(x);
+  std::string bytes;
+  common::ByteWriter writer(&bytes);
+  sketch.SerializeTo(writer);
+  QuantileSketch restored;
+  common::ByteReader reader(bytes);
+  ASSERT_TRUE(restored.DeserializeFrom(reader).ok());
+  ExpectTableMatchesWalk(restored);
+  // And the restored table answers exactly what the original's does.
+  const QuantileSketch::Table original = sketch.BuildTable();
+  const QuantileSketch::Table again = restored.BuildTable();
+  for (int i = 0; i <= 200; ++i) {
+    const double p = i / 200.0;
+    EXPECT_EQ(Bits(again.Quantile(p)), Bits(original.Quantile(p)));
+    const double x = -10.0 + 0.1 * i;
+    EXPECT_EQ(Bits(again.Cdf(x)), Bits(original.Cdf(x)));
+  }
+}
+
+TEST(QuantileSketchTableTest, TableIsASnapshot) {
+  QuantileSketch sketch;
+  for (double x : {1.0, 2.0, 3.0}) sketch.Add(x);
+  const QuantileSketch::Table table = sketch.BuildTable();
+  sketch.Add(100.0);
+  EXPECT_EQ(table.count(), 3u);
+  EXPECT_EQ(table.Quantile(1.0), 3.0);
+  EXPECT_EQ(table.Cdf(3.0), 1.0);
+  EXPECT_EQ(sketch.Quantile(1.0), 100.0);
 }
 
 }  // namespace
