@@ -19,8 +19,10 @@
 namespace otfair::core {
 namespace {
 
-// (n_q, solver registry name, mode, strength, seed)
-using ParamType = std::tuple<size_t, const char*, TransportMode, double, uint64_t>;
+// (n_q, solver registry name, mode, strength, seed). The solver name is a
+// std::string, not a const char*: gtest prints a const char* with its
+// address, which would put a per-run address into every discovered test name.
+using ParamType = std::tuple<size_t, std::string, TransportMode, double, uint64_t>;
 
 class RepairPropertyTest : public ::testing::TestWithParam<ParamType> {
  protected:
