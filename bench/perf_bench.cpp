@@ -10,6 +10,11 @@
 //                      per thread count (Algorithm 2 batch path: rows
 //                      grouped by (u, s), channel-major RepairSpan with
 //                      prefetch).
+//   kde_pmf_us         one channel's marginal KDE (Algorithm 1 line 8):
+//                      750 samples onto n_Q = 512 states, through the
+//                      exact per-point sum and through the linear-binned
+//                      estimator design takes at that resolution
+//                      (`path` param; `ns_per_op` is one pmf).
 //   design_step_s4     the same stages on a 4-level protected attribute
 //   repair_throughput_s4_soa  (|S| = 4): the multi-group K-scaling rows —
 //                      design does |S| solves per channel, repair carries
@@ -101,6 +106,7 @@
 #include "serve/redesigner.h"
 #include "serve/repair_service.h"
 #include "sim/gaussian_mixture.h"
+#include "stats/kde.h"
 #include "stats/quantile_sketch.h"
 #include "stats/sampling.h"
 
@@ -238,6 +244,45 @@ int main(int argc, char** argv) {
     c.wall_ms = ms;
     cases.push_back(c);
     std::fprintf(stderr, "design_step       threads=%d  %10.2f ms\n", t, ms);
+  }
+
+  // --- kde_pmf_us: one channel's marginal, exact vs binned ----------------
+  {
+    Rng kde_rng(0x6de);
+    std::vector<double> samples(750);
+    for (double& x : samples) x = kde_rng.Normal(0.0, 1.0);
+    const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+    const size_t n_q = 512;
+    std::vector<double> grid(n_q);
+    for (size_t q = 0; q < n_q; ++q)
+      grid[q] = *lo + (*hi - *lo) * static_cast<double>(q) / static_cast<double>(n_q - 1);
+    auto kde = otfair::stats::GaussianKde::FitSilverman(samples);
+    if (!kde.ok()) Die(kde.status().ToString());
+    const size_t calls = smoke ? 5 : 200;
+    for (const bool binned : {false, true}) {
+      double sink = 0.0;
+      const double ms = BestWallMs(repeats, [&] {
+        for (size_t r = 0; r < calls; ++r) {
+          auto pmf = binned ? kde->BinnedPmfOnUniformGrid(*lo, *hi, n_q) : kde->PmfOnGrid(grid);
+          if (!pmf.ok()) Die(pmf.status().ToString());
+          sink += (*pmf)[n_q / 2];
+        }
+      });
+      if (!(sink > 0.0)) Die("kde_pmf produced implausible sink");
+      BenchCase c;
+      c.name = "kde_pmf_us";
+      c.threads = 1;
+      std::snprintf(params, sizeof(params),
+                    "{\"samples\": %zu, \"n_q\": %zu, \"path\": \"%s\", \"calls\": %zu}",
+                    samples.size(), n_q, binned ? "binned" : "exact", calls);
+      c.params_json = params;
+      c.repeats = repeats;
+      c.wall_ms = ms;
+      c.ns_per_op = ms * 1e6 / static_cast<double>(calls);
+      cases.push_back(c);
+      std::fprintf(stderr, "kde_pmf_us        path=%-6s  %10.2f ms  (%.1f us/pmf)\n",
+                   binned ? "binned" : "exact", ms, c.ns_per_op * 1e-3);
+    }
   }
 
   // --- repair_throughput: thread scaling ----------------------------------

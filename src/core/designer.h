@@ -62,9 +62,14 @@ struct DesignOptions {
 /// the |S| s-conditional marginals onto Q (Eq. 11), (iii) computes the
 /// lambda-weighted N-measure quantile barycentre nu on Q (Eq. 7; for
 /// |S| = 2 the paper's t-geodesic point), and (iv) solves the |S| OT
-/// problems mu_s -> nu (Eq. 13). Complexity is dominated by the
-/// d*|U|*|S| OT solves on n_Q states — independent of the archive size,
-/// which is the point of the method.
+/// problems mu_s -> nu (Eq. 13). The cost is independent of the archive
+/// size, which is the point of the method. Design is no longer KDE-bound:
+/// at the n_Q (~512) where the per-point KDE sum cost O(n * n_Q) `exp`
+/// calls per marginal (~98% of design), `InterpolateMarginal` bins the
+/// samples and convolves once per marginal, O(n + n_Q^2) multiply-adds
+/// (see core/marginals.h for the rule and its error), so the KDE, the
+/// barycentres and the d*|U|*|S| OT solves on n_Q states now cost the
+/// same order.
 common::Result<RepairPlanSet> DesignDistributionalRepair(const data::Dataset& research,
                                                          const DesignOptions& options = {});
 

@@ -12,10 +12,19 @@ namespace {
 // Bandwidth used when the sample carries no spread at all; keeps the KDE a
 // proper (if narrow) density instead of a delta.
 constexpr double kDegenerateBandwidth = 1e-3;
+
+/// True when every sample is the same value. Tested directly, because the
+/// mean's roundoff can give a constant sample a ~1e-17 spread, and a
+/// bandwidth that small puts no kernel mass on any grid point.
+bool AllEqual(const std::vector<double>& samples) {
+  const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+  return *lo == *hi;
+}
 }  // namespace
 
 double SilvermanBandwidth(const std::vector<double>& samples) {
   OTFAIR_CHECK(!samples.empty());
+  if (AllEqual(samples)) return kDegenerateBandwidth;
   const double n = static_cast<double>(samples.size());
   const double sigma = StdDev(samples);
   const double iqr = Iqr(samples);
@@ -27,6 +36,7 @@ double SilvermanBandwidth(const std::vector<double>& samples) {
 
 double ScottBandwidth(const std::vector<double>& samples) {
   OTFAIR_CHECK(!samples.empty());
+  if (AllEqual(samples)) return kDegenerateBandwidth;
   const double sigma = StdDev(samples);
   if (sigma <= 0.0) return kDegenerateBandwidth;
   return sigma * std::pow(static_cast<double>(samples.size()), -0.2);

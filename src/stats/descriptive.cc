@@ -35,11 +35,9 @@ double Max(const std::vector<double>& xs) {
   return *std::max_element(xs.begin(), xs.end());
 }
 
-double Quantile(const std::vector<double>& xs, double q) {
-  OTFAIR_CHECK(!xs.empty());
-  OTFAIR_CHECK(q >= 0.0 && q <= 1.0);
-  std::vector<double> sorted(xs);
-  std::sort(sorted.begin(), sorted.end());
+namespace {
+/// Linear-interpolated q-quantile of an ascending, non-empty sample.
+double SortedQuantile(const std::vector<double>& sorted, double q) {
   const double pos = q * static_cast<double>(sorted.size() - 1);
   const size_t lo = static_cast<size_t>(pos);
   const size_t hi = std::min(lo + 1, sorted.size() - 1);
@@ -47,9 +45,27 @@ double Quantile(const std::vector<double>& xs, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
+std::vector<double> SortedCopy(const std::vector<double>& xs) {
+  std::vector<double> sorted(xs);
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+}  // namespace
+
+double Quantile(const std::vector<double>& xs, double q) {
+  OTFAIR_CHECK(!xs.empty());
+  OTFAIR_CHECK(q >= 0.0 && q <= 1.0);
+  return SortedQuantile(SortedCopy(xs), q);
+}
+
 double Median(const std::vector<double>& xs) { return Quantile(xs, 0.5); }
 
-double Iqr(const std::vector<double>& xs) { return Quantile(xs, 0.75) - Quantile(xs, 0.25); }
+double Iqr(const std::vector<double>& xs) {
+  OTFAIR_CHECK(!xs.empty());
+  // One sort serves both quartiles (Silverman's rule calls this per KDE).
+  const std::vector<double> sorted = SortedCopy(xs);
+  return SortedQuantile(sorted, 0.75) - SortedQuantile(sorted, 0.25);
+}
 
 MeanStd ComputeMeanStd(const std::vector<double>& xs) {
   MeanStd out;

@@ -10,10 +10,12 @@
 //    transient fault is absorbed by the retry budget without degrading.
 //  - Reading the sketches through read tables changes nothing: the
 //    installed plan and the fit-gate W1 equal what the per-bucket sketch
-//    walk gives, bit for bit.
+//    walk gives, bit for bit, and each installed marginal stays within
+//    L1 1e-3 of the exact KDE of the walk's pseudo-samples.
 
 #include "serve/redesigner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -32,6 +34,7 @@
 #include "serve/fault_injector.h"
 #include "serve/repair_service.h"
 #include "sim/gaussian_mixture.h"
+#include "stats/kde.h"
 #include "testing/sketch_reference_walk.h"
 
 namespace otfair::serve {
@@ -45,7 +48,8 @@ struct Fixture {
   core::RepairPlanSet plans;
 };
 
-Fixture MakeFixture(uint64_t seed, size_t archive_rows = 4000) {
+Fixture MakeFixture(uint64_t seed, size_t archive_rows = 4000,
+                    size_t n_q = core::DesignOptions{}.n_q) {
   Fixture fx;
   common::Rng rng(seed);
   auto research =
@@ -55,7 +59,9 @@ Fixture MakeFixture(uint64_t seed, size_t archive_rows = 4000) {
   EXPECT_TRUE(research.ok() && archive.ok());
   fx.research = std::move(*research);
   fx.archive = std::move(*archive);
-  auto plans = core::DesignDistributionalRepair(fx.research, {});
+  core::DesignOptions design;
+  design.n_q = n_q;
+  auto plans = core::DesignDistributionalRepair(fx.research, design);
   EXPECT_TRUE(plans.ok());
   fx.plans = std::move(*plans);
   return fx;
@@ -309,6 +315,53 @@ TEST(RedesignerTest, InstalledPlanEqualsReferenceWalkDesign) {
             SketchFitW1(sketches[c].BuildTable(), channel.grid, channel.marginal[s]);
         EXPECT_EQ(bits(fit), bits(reference)) << "channel " << c;
         EXPECT_LT(fit, service->options().drift.w1_threshold) << "channel " << c;
+      }
+    }
+  }
+}
+
+TEST(RedesignerTest, InstalledMarginalsStayNearTheExactKde) {
+  // At n_Q = 512 (the benchmark's grid) every redesign KDE takes the
+  // binned estimator. Each installed marginal stays within L1 1e-3 of the
+  // exact KDE of the pseudo-samples the designer probed: the walk's
+  // midpoint quantiles.
+  Fixture fx = MakeFixture(6, /*archive_rows=*/4000, /*n_q=*/512);
+  auto service = MakeService(fx);
+  StreamShifted(service.get(), fx.archive, 2.0);
+  ASSERT_TRUE(service->Health().drifted);
+  const std::vector<stats::QuantileSketch> sketches = service->SketchSnapshot();
+  std::vector<testing::ReferenceSketchWalk> walks;
+  for (const stats::QuantileSketch& sketch : sketches) {
+    walks.emplace_back(sketch);
+    ASSERT_TRUE(walks.back().complete());
+  }
+  auto redesigner = MakeInertRedesigner(service.get());
+  ASSERT_TRUE(redesigner->AttemptRedesign().ok());
+  ASSERT_EQ(service->plan_version(), 2u);
+  const core::RepairPlanSet installed = service->StateForCheckpoint().plans;
+
+  const size_t budget = RedesignerOptions{}.design.quantile_pseudo_samples;
+  const size_t dim = service->dim();
+  const size_t s_levels = service->s_levels();
+  for (size_t u = 0; u < service->u_levels(); ++u) {
+    for (size_t k = 0; k < dim; ++k) {
+      const core::ChannelPlan& channel = installed.At(static_cast<int>(u), k);
+      ASSERT_EQ(channel.grid.size(), 512u);
+      for (size_t s = 0; s < s_levels; ++s) {
+        const size_t c = (u * s_levels + s) * dim + k;
+        const size_t n = std::min<uint64_t>(sketches[c].count(), budget);
+        std::vector<double> pseudo(n);
+        for (size_t i = 0; i < n; ++i)
+          pseudo[i] = walks[c].Quantile((static_cast<double>(i) + 0.5) / static_cast<double>(n));
+        auto kde = stats::GaussianKde::FitSilverman(pseudo);
+        ASSERT_TRUE(kde.ok());
+        EXPECT_LE(channel.grid.step(), kde->bandwidth() / 4.0) << "channel " << c;
+        auto exact = kde->PmfOnGrid(channel.grid.points());
+        ASSERT_TRUE(exact.ok());
+        double l1 = 0.0;
+        for (size_t q = 0; q < exact->size(); ++q)
+          l1 += std::fabs(channel.marginal[s].weight_at(q) - (*exact)[q]);
+        EXPECT_LE(l1, 1e-3) << "channel " << c;
       }
     }
   }

@@ -58,6 +58,15 @@ TEST(BandwidthTest, DegenerateSampleStillPositive) {
   EXPECT_GT(ScottBandwidth({1.0, 1.0}), 0.0);
 }
 
+TEST(BandwidthTest, ConstantSampleGetsTheDegenerateBandwidth) {
+  // Ten copies of 0.3 have a mean that is not exactly 0.3, so the sample
+  // standard deviation comes out ~1e-17 rather than 0.
+  const std::vector<double> constant(10, 0.3);
+  EXPECT_EQ(SilvermanBandwidth(constant), SilvermanBandwidth({0.3}));
+  EXPECT_EQ(ScottBandwidth(constant), ScottBandwidth({0.3}));
+  EXPECT_GT(SilvermanBandwidth(constant), 1e-6);
+}
+
 TEST(BandwidthTest, HeavilyDuplicatedDataFallsBackToSigma) {
   // IQR is 0 (75% duplicates) but sigma isn't: h must stay positive and
   // finite.

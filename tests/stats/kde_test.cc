@@ -107,6 +107,85 @@ TEST(KdeTest, RejectsBadInputs) {
   EXPECT_FALSE(GaussianKde::FitSilverman({}).ok());
 }
 
+/// The pmf a Gaussian kernel sum over `centres` (with weights) gives on
+/// `grid`, normalized: the reference the binned estimator is held to.
+std::vector<double> WeightedKernelPmf(const std::vector<double>& grid,
+                                      const std::vector<double>& centres,
+                                      const std::vector<double>& weights, double h) {
+  std::vector<double> pmf(grid.size(), 0.0);
+  double total = 0.0;
+  for (size_t q = 0; q < grid.size(); ++q) {
+    for (size_t c = 0; c < centres.size(); ++c) {
+      const double z = (grid[q] - centres[c]) / h;
+      pmf[q] += weights[c] * std::exp(-0.5 * z * z);
+    }
+    total += pmf[q];
+  }
+  for (double& p : pmf) p /= total;
+  return pmf;
+}
+
+TEST(KdeTest, BinnedSampleOnGridPointIsTheSampledKernel) {
+  auto kde = GaussianKde::Fit({0.0}, 0.3);
+  ASSERT_TRUE(kde.ok());
+  const auto grid = Grid(-2.0, 2.0, 41);
+  auto binned = kde->BinnedPmfOnUniformGrid(-2.0, 2.0, 41);
+  auto exact = kde->PmfOnGrid(grid);
+  ASSERT_TRUE(binned.ok() && exact.ok());
+  ASSERT_EQ(binned->size(), grid.size());
+  for (size_t q = 0; q < grid.size(); ++q) EXPECT_NEAR((*binned)[q], (*exact)[q], 1e-15) << q;
+}
+
+TEST(KdeTest, BinnedSplitsEachSampleLinearlyBetweenNeighbours) {
+  // 0.3 of the way from grid point 10 (x = 1.0) to 11 (x = 1.1): mass 0.7
+  // goes to point 10 and 0.3 to point 11, each spread by the kernel.
+  const auto grid = Grid(0.0, 2.0, 21);
+  auto kde = GaussianKde::Fit({1.03}, 0.25);
+  ASSERT_TRUE(kde.ok());
+  auto binned = kde->BinnedPmfOnUniformGrid(0.0, 2.0, 21);
+  ASSERT_TRUE(binned.ok());
+  const auto expected = WeightedKernelPmf(grid, {grid[10], grid[11]}, {0.7, 0.3}, 0.25);
+  for (size_t q = 0; q < grid.size(); ++q) EXPECT_NEAR((*binned)[q], expected[q], 1e-12) << q;
+}
+
+TEST(KdeTest, BinnedSamplesAtTheGridEndsStayOnTheGrid) {
+  auto kde = GaussianKde::Fit({-1.0, 1.0}, 0.5);
+  ASSERT_TRUE(kde.ok());
+  auto binned = kde->BinnedPmfOnUniformGrid(-1.0, 1.0, 9);
+  ASSERT_TRUE(binned.ok());
+  const auto expected = WeightedKernelPmf(Grid(-1.0, 1.0, 9), {-1.0, 1.0}, {1.0, 1.0}, 0.5);
+  double total = 0.0;
+  for (size_t q = 0; q < expected.size(); ++q) {
+    EXPECT_NEAR((*binned)[q], expected[q], 1e-12) << q;
+    total += (*binned)[q];
+  }
+  EXPECT_NEAR(total, 1.0, 1e-12);
+}
+
+TEST(KdeTest, BinnedKeepsEveryLagTheExactSumKeeps) {
+  // One sample at the low end of a grid 30 bandwidths wide: the far end
+  // carries exp(-450) of relative mass, which a kernel cut at a few
+  // bandwidths would zero.
+  const double h = 0.1;
+  auto kde = GaussianKde::Fit({0.0}, h);
+  ASSERT_TRUE(kde.ok());
+  auto binned = kde->BinnedPmfOnUniformGrid(0.0, 30.0 * h, 301);
+  auto exact = kde->PmfOnGrid(Grid(0.0, 30.0 * h, 301));
+  ASSERT_TRUE(binned.ok() && exact.ok());
+  ASSERT_GT(exact->back(), 0.0);
+  EXPECT_NEAR(binned->back() / exact->back(), 1.0, 1e-9);
+}
+
+TEST(KdeTest, BinnedRejectsSamplesOffTheGridAndBadGrids) {
+  auto kde = GaussianKde::Fit({0.0, 2.5}, 0.5);
+  ASSERT_TRUE(kde.ok());
+  EXPECT_EQ(kde->BinnedPmfOnUniformGrid(-1.0, 2.0, 64).status().code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_FALSE(kde->BinnedPmfOnUniformGrid(-1.0, 3.0, 1).ok());
+  EXPECT_FALSE(kde->BinnedPmfOnUniformGrid(3.0, -1.0, 64).ok());
+  EXPECT_TRUE(kde->BinnedPmfOnUniformGrid(-1.0, 3.0, 64).ok());
+}
+
 TEST(KdeTest, SilvermanBandwidthRecorded) {
   common::Rng rng(9);
   std::vector<double> xs;
